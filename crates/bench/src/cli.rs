@@ -12,9 +12,11 @@
 
 use crate::reports::{self, RunOptions};
 use crate::resolve_db;
+use std::path::Path;
 use triad_energy::EnergyBackendConfig;
 use triad_phasedb::{DbConfig, DbStore};
 use triad_sim::campaign::{parse_model, parse_rm, ExperimentSpec};
+use triad_util::fs::atomic_write;
 use triad_workload::WorkloadSpec;
 
 const USAGE: &str = "\
@@ -208,7 +210,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     // Create/validate the journal before paying for anything expensive;
     // without --resume the file is truncated so the run starts fresh.
     if let Some(path) = &args.journal {
-        let p = std::path::Path::new(path);
+        let p = Path::new(path);
         if let Some(parent) = p.parent().filter(|d| !d.as_os_str().is_empty()) {
             std::fs::create_dir_all(parent).map_err(|e| format!("--journal {path}: {e}"))?;
         }
@@ -452,17 +454,18 @@ pub fn run(args: &Args) -> Result<(), String> {
     };
 
     if let Some(path) = &args.json {
-        std::fs::write(path, doc.to_string_pretty()).map_err(|e| format!("writing {path}: {e}"))?;
+        atomic_write(Path::new(path), doc.to_string_pretty(), None)
+            .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("report written to {path}");
     }
     if let Some(path) = &args.telemetry {
         let report = triad_telemetry::snapshot().to_json().to_string_pretty();
-        std::fs::write(path, report).map_err(|e| format!("writing {path}: {e}"))?;
+        atomic_write(Path::new(path), report, None).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("telemetry metrics written to {path}");
     }
     if let Some(path) = &args.chrome_trace {
         let trace = triad_telemetry::take_chrome_trace().to_string_pretty();
-        std::fs::write(path, trace).map_err(|e| format!("writing {path}: {e}"))?;
+        atomic_write(Path::new(path), trace, None).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("chrome trace written to {path} (load in Perfetto or chrome://tracing)");
     }
     // Quarantined rows mean the report is incomplete: every output above
@@ -497,13 +500,9 @@ fn quarantined_rows(doc: &triad_util::json::Json) -> usize {
     }
 }
 
-/// Entry point shared by `triad-bench` and the per-figure wrappers: the
-/// wrapper passes its fixed experiment name, the driver passes `None`.
-pub fn main_with(fixed_experiment: Option<&str>) -> std::process::ExitCode {
-    let mut argv: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(e) = fixed_experiment {
-        argv.splice(0..0, ["--experiment".to_string(), e.to_string()]);
-    }
+/// Entry point of the `triad-bench` binary.
+pub fn main() -> std::process::ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
     match parse_args(&argv).and_then(|a| run(&a)) {
         Ok(()) => std::process::ExitCode::SUCCESS,
         Err(msg) => {

@@ -21,9 +21,9 @@
 //!
 //! Simulation-backed experiments expand into [`triad_sim::Campaign`] specs
 //! and run in parallel with shared memoized idle baselines; `--json`
-//! writes the canonical campaign report next to the figure summary. The
-//! historical per-figure binaries (`fig6_energy`, …) remain as thin
-//! wrappers that pre-select `--experiment`.
+//! writes the canonical campaign report next to the figure summary.
+//! `triad-bench --experiment <name>` (`-e`) is the only entry point; there
+//! are no per-figure binaries.
 //!
 //! Plain-timing benches (`cargo bench -p triad-bench`): the RM-invocation
 //! cost versus core count (the §III-E instruction-count measurement) and
@@ -37,7 +37,7 @@ use std::sync::OnceLock;
 use triad_phasedb::{DbConfig, DbStore, PhaseDb, StoreOutcome};
 
 /// Resolve (once per process) the full-suite phase database through the
-/// default content-addressed store — a millisecond-scale load on a warm
+/// default content-addressed store — about a 25 ms load on a warm
 /// cache, a build + persist on a cold one.
 pub fn db() -> &'static PhaseDb {
     static DB: OnceLock<PhaseDb> = OnceLock::new();

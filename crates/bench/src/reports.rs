@@ -759,7 +759,7 @@ pub fn energy_sweep(
                 grid.points(),
                 SAMPLED_TABLE_PATH,
             );
-            // The path is cwd-relative; fs::write does not create parents.
+            // The path is cwd-relative; `save` does not create parents.
             if let Some(parent) = std::path::Path::new(SAMPLED_TABLE_PATH).parent() {
                 let _ = std::fs::create_dir_all(parent);
             }

@@ -20,8 +20,10 @@
 //! reproducible.
 
 use crate::{EnergyBackend, EnergyModel, REF_FREQ_HZ};
+use std::path::Path;
 use triad_arch::{CoreSize, VfPoint};
 use triad_util::failpoint::FailPoint;
+use triad_util::fs::atomic_write;
 use triad_util::json::{parse, Json};
 
 /// Schema tag required of every persisted table file.
@@ -241,9 +243,10 @@ impl TableBackend {
         Self::from_json(&doc, path)
     }
 
-    /// Write the table to a canonical JSON file.
+    /// Write the table to a canonical JSON file (atomically: readers see
+    /// the old file or the complete new one).
     pub fn save(&self, path: &str) -> Result<(), String> {
-        std::fs::write(path, self.to_json().to_string_pretty())
+        atomic_write(Path::new(path), self.to_json().to_string_pretty(), None)
             .map_err(|e| format!("writing energy table {path}: {e}"))
     }
 }

@@ -12,7 +12,9 @@ use triad_energy::{EnergyBackend, EnergyBackendConfig, EnergyModel, TableBackend
 
 /// A measured-style table that is *not* a resample of the parametric
 /// model: hand-wobbled powers, still monotone in frequency per size.
-fn wobbly_table_json_path() -> String {
+/// Written to a path unique to the calling test (`tag`), so tests running
+/// in parallel never read each other's files.
+fn wobbly_table_json_path(tag: &str) -> String {
     let grid = DvfsGrid::table1();
     let mut t = TableBackend::sampled_from(&EnergyModel::default_model(), grid.points(), "wobbly");
     for (i, pts) in t.points.iter_mut().enumerate() {
@@ -25,8 +27,8 @@ fn wobbly_table_json_path() -> String {
         }
         pts.sort_by(|a, b| a.freq_hz.total_cmp(&b.freq_hz));
     }
-    let path =
-        std::env::temp_dir().join(format!("triad-backend-properties-{}.json", std::process::id()));
+    let path = std::env::temp_dir()
+        .join(format!("triad-backend-properties-{}-{tag}.json", std::process::id()));
     let path = path.to_str().unwrap().to_string();
     t.save(&path).unwrap();
     path
@@ -50,7 +52,7 @@ fn utils() -> Vec<f64> {
 
 #[test]
 fn power_is_finite_and_nonnegative_on_the_whole_grid() {
-    let path = wobbly_table_json_path();
+    let path = wobbly_table_json_path("finite");
     let grid = DvfsGrid::table1();
     for em in all_backends(&path) {
         for c in CoreSize::ALL {
@@ -85,7 +87,7 @@ fn energy_is_monotone_in_frequency_at_fixed_utilization() {
     // Raising the operating point (f and its paired V) at fixed utilization
     // must never reduce power — so energy over any fixed window is monotone
     // in frequency for every backend.
-    let path = wobbly_table_json_path();
+    let path = wobbly_table_json_path("freq");
     let grid = DvfsGrid::table1();
     for em in all_backends(&path) {
         for c in CoreSize::ALL {
@@ -112,7 +114,7 @@ fn energy_is_monotone_in_frequency_at_fixed_utilization() {
 
 #[test]
 fn dynamic_power_is_monotone_in_utilization() {
-    let path = wobbly_table_json_path();
+    let path = wobbly_table_json_path("util");
     let grid = DvfsGrid::table1();
     for em in all_backends(&path) {
         for c in CoreSize::ALL {
@@ -142,7 +144,7 @@ fn dynamic_power_is_monotone_in_utilization() {
 
 #[test]
 fn dyn_ratio_is_a_consistent_group() {
-    let path = wobbly_table_json_path();
+    let path = wobbly_table_json_path("ratio");
     for em in all_backends(&path) {
         for a in CoreSize::ALL {
             assert!((em.dyn_ratio(a, a) - 1.0).abs() < 1e-12, "{}", em.label());
@@ -164,7 +166,7 @@ fn dyn_ratio_is_a_consistent_group() {
 
 #[test]
 fn labels_are_unique_and_stable() {
-    let path = wobbly_table_json_path();
+    let path = wobbly_table_json_path("labels");
     let backends = all_backends(&path);
     let mut labels: Vec<String> = backends.iter().map(|b| b.label()).collect();
     assert!(labels.contains(&"mcpat".to_string()));
@@ -181,7 +183,7 @@ fn grid_off_points_stay_well_behaved() {
     // The RM only queries grid points, but backends must not blow up just
     // outside them (the table backend clamps; the analytic ones
     // extrapolate).
-    let path = wobbly_table_json_path();
+    let path = wobbly_table_json_path("off-grid");
     for em in all_backends(&path) {
         for c in CoreSize::ALL {
             for f_ghz in [0.75, 1.015, 2.125, 3.5] {

@@ -1,9 +1,10 @@
 //! Content-addressed, persistent phase-database store.
 //!
-//! Building the 27-app [`PhaseDb`] is the dominant cost of every campaign
-//! (minutes of detailed simulation); loading the persisted artifact is
-//! milliseconds. [`DbStore`] is the one resolution path every layer goes
-//! through instead of calling [`build_apps`] directly:
+//! Building the 27-app [`PhaseDb`] takes about 1.3 s of detailed
+//! simulation; loading the persisted 1.6 MB artifact (read, parse and
+//! decode) takes about 25 ms (both measured on a 2-core x86-64 Xeon).
+//! [`DbStore`] is the one resolution path every layer goes through instead
+//! of calling [`build_apps`] directly:
 //!
 //! * the cache key is [`db_fingerprint`] — a digest of the [`DbConfig`],
 //!   the complete suite definition, and the database shape constants — so
@@ -24,6 +25,7 @@ use std::path::{Path, PathBuf};
 use triad_telemetry::{Counter, SpanName};
 use triad_trace::AppSpec;
 use triad_util::failpoint::FailPoint;
+use triad_util::fs::atomic_write;
 use triad_util::json::parse;
 
 static RESOLVE_SPAN: SpanName = SpanName::new("db_store.resolve");
@@ -182,13 +184,10 @@ impl DbStore {
         self.resolve(&triad_trace::suite(), cfg)
     }
 
-    /// Atomically write the artifact: serialize to a writer-unique
-    /// tempfile in the cache directory, then `rename` onto the final path
-    /// (atomic within one filesystem), so readers only ever see complete
-    /// files. The tempfile name carries both the process id and a
-    /// process-global counter: concurrent resolves of the same key from
-    /// parallel threads (test runners do this) must not share a tempfile,
-    /// or one writer's truncation could tear the other's in-flight bytes.
+    /// Atomically write the artifact through [`atomic_write`] (writer-unique
+    /// tempfile in the cache directory, then `rename` onto the final
+    /// path), so readers only ever see complete files — even when
+    /// parallel threads resolve the same key at once.
     ///
     /// Transient write/rename failures get the same bounded deterministic
     /// retry as journal appends; a crash anywhere in the sequence leaves
@@ -202,11 +201,7 @@ impl DbStore {
         cfg: &DbConfig,
         path: &Path,
     ) -> std::io::Result<()> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static WRITER_SEQ: AtomicU64 = AtomicU64::new(0);
         std::fs::create_dir_all(&self.dir)?;
-        let seq = WRITER_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.dir.join(format!("{fingerprint}.tmp.{}.{seq}", std::process::id()));
         let text = db_to_json(db, fingerprint, cfg).to_string_compact();
         let mut last_err = None;
         for attempt in 0..PERSIST_ATTEMPTS {
@@ -214,17 +209,11 @@ impl DbStore {
                 PERSIST_RETRIES.incr();
                 std::thread::sleep(std::time::Duration::from_millis(1 << (attempt - 1)));
             }
-            let result = PERSIST_WRITE_FP
-                .check_io()
-                .and_then(|()| std::fs::write(&tmp, &text))
-                .and_then(|()| PERSIST_RENAME_FP.check_io())
-                .and_then(|()| std::fs::rename(&tmp, path));
-            match result {
+            match atomic_write(path, &text, Some((&PERSIST_WRITE_FP, &PERSIST_RENAME_FP))) {
                 Ok(()) => return Ok(()),
                 Err(e) => last_err = Some(e),
             }
         }
-        let _ = std::fs::remove_file(&tmp);
         Err(last_err.expect("retry loop ran"))
     }
 }

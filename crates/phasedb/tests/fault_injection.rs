@@ -100,6 +100,14 @@ fn crash_between_tempfile_and_rename_never_tears_the_artifact() {
         "a persist crash must leave the old artifact untouched"
     );
 
+    // Every failed attempt removed its tempfile.
+    let leftovers: Vec<_> = std::fs::read_dir(store.dir())
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.contains(".tmp."))
+        .collect();
+    assert!(leftovers.is_empty(), "failed persists must not leave tempfiles: {leftovers:?}");
+
     // The store still serves the old artifact afterwards...
     let served = store.resolve(&apps, &cfg);
     assert_eq!(served.outcome, StoreOutcome::Hit);

@@ -26,10 +26,10 @@
 //! this module.
 //!
 //! Databases are resolved through the content-addressed
-//! [`triad_phasedb::DbStore`] ([`Campaign::run_cached`]): a campaign knows
-//! exactly which applications its specs reference, so the store can load —
-//! or build and persist — precisely that artifact, and warm runs skip the
-//! minutes-scale detailed simulation entirely.
+//! [`triad_phasedb::DbStore`]: a campaign knows exactly which applications
+//! its specs reference ([`Campaign::required_apps`]), so the store can
+//! load — or build and persist — precisely that artifact, and warm runs
+//! skip the detailed simulation entirely.
 
 use crate::engine::{max_suite_intervals, SimConfig, SimModel, SimResult, Simulator};
 use crate::journal::{self, LoadedJournal, RowJournal};
@@ -38,7 +38,7 @@ use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::Arc;
 use triad_energy::{EnergyBackend, EnergyBackendConfig};
-use triad_phasedb::{DbConfig, DbStore, PhaseDb};
+use triad_phasedb::PhaseDb;
 use triad_rm::{ModelKind, RmKind};
 use triad_telemetry::{Counter, SpanName};
 use triad_trace::AppSpec;
@@ -52,7 +52,6 @@ static TRACE_MATERIALIZE_SPAN: SpanName = SpanName::new("campaign.trace_material
 static IDLE_BASELINE_SPAN: SpanName = SpanName::new("campaign.idle_baseline");
 static SIMULATE_SPAN: SpanName = SpanName::new("campaign.simulate");
 static QOS_EVAL_SPAN: SpanName = SpanName::new("campaign.qos_eval");
-static DB_RESOLVE_SPAN: SpanName = SpanName::new("campaign.db_resolve");
 static ROWS: Counter = Counter::new("campaign.rows");
 static ROWS_SIMULATED: Counter = Counter::new("campaign.rows_simulated");
 static ROWS_RESUMED: Counter = Counter::new("campaign.rows_resumed");
@@ -877,39 +876,6 @@ impl Campaign {
             .collect()
     }
 
-    /// Resolve a database covering [`Campaign::required_apps`] through the
-    /// content-addressed `store` (millisecond load on a warm cache, build +
-    /// persist on a cold one) and execute the campaign against it.
-    ///
-    /// Rows are bit-identical to [`Campaign::run`] on a directly built
-    /// database: the store round-trip is lossless by construction.
-    pub fn run_cached(&self, store: &DbStore, cfg: &DbConfig) -> Vec<CampaignRow> {
-        let resolved = {
-            let _span = DB_RESOLVE_SPAN.enter();
-            store.resolve(&self.required_apps(), cfg)
-        };
-        self.run(&resolved.db)
-    }
-
-    /// The fault-tolerant [`Campaign::run_cached`]: resolve the database
-    /// through the store, then [`Campaign::try_run`] (no journal) or
-    /// [`Campaign::run_journaled`] (journal path + resume flag).
-    pub fn run_cached_outcome(
-        &self,
-        store: &DbStore,
-        cfg: &DbConfig,
-        journal: Option<(&Path, bool)>,
-    ) -> Result<CampaignOutcome, CampaignError> {
-        let resolved = {
-            let _span = DB_RESOLVE_SPAN.enter();
-            store.resolve(&self.required_apps(), cfg)
-        };
-        match journal {
-            None => Ok(self.try_run(&resolved.db)),
-            Some((path, resume)) => self.run_journaled(&resolved.db, path, resume),
-        }
-    }
-
     /// Canonical JSON document for a finished campaign.
     pub fn report(rows: &[CampaignRow]) -> Json {
         Json::obj()
@@ -967,7 +933,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triad_phasedb::build_apps;
+    use triad_phasedb::{build_apps, DbConfig, DbStore};
 
     /// The test database resolves through the shared workspace store: the
     /// first test run of the day builds and persists it, every later run —
@@ -1112,7 +1078,7 @@ mod tests {
     }
 
     #[test]
-    fn run_cached_is_byte_identical_to_run_on_a_fresh_build() {
+    fn store_resolved_rows_are_byte_identical_to_a_fresh_build() {
         let dir =
             std::env::temp_dir().join(format!("triad-campaign-cached-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1123,8 +1089,8 @@ mod tests {
 
         let direct = campaign.run(&build_apps(&campaign.required_apps(), &cfg));
         // Cold (build + persist), then warm (load): all three byte-equal.
-        let cold = campaign.run_cached(&store, &cfg);
-        let warm = campaign.run_cached(&store, &cfg);
+        let cold = campaign.run(&store.resolve(&campaign.required_apps(), &cfg).db);
+        let warm = campaign.run(&store.resolve(&campaign.required_apps(), &cfg).db);
         let report = |rows: &[CampaignRow]| Campaign::report(rows).to_string_pretty();
         assert_eq!(report(&direct), report(&cold));
         assert_eq!(report(&direct), report(&warm));

@@ -39,7 +39,6 @@ use triad_telemetry::{Counter, Histogram, SpanName};
 use triad_workload::{EventKind, WorkloadTrace};
 
 static RUN_SPAN: SpanName = SpanName::new("sim.run");
-static RUN_TRACE_SPAN: SpanName = SpanName::new("sim.run_trace");
 static RM_INVOCATIONS: Counter = Counter::new("sim.rm_invocations");
 static MEMO_HITS: Counter = Counter::new("sim.memo_hits");
 static MEMO_MISSES: Counter = Counter::new("sim.memo_misses");
@@ -276,6 +275,24 @@ impl RunPlanner {
     }
 }
 
+/// Run-level counters folded out of cores as their occupants depart.
+#[derive(Default)]
+struct Folded {
+    energy_j: f64,
+    violations: u64,
+    checked: u64,
+    violation_sum: f64,
+}
+
+impl Folded {
+    fn absorb(&mut self, c: &Core<'_>) {
+        self.energy_j += c.energy_j;
+        self.violations += c.violations;
+        self.checked += c.checked;
+        self.violation_sum += c.violation_sum;
+    }
+}
+
 /// The RM simulator.
 pub struct Simulator<'a> {
     /// System description (core count, grids, geometry).
@@ -332,101 +349,9 @@ impl<'a> Simulator<'a> {
         Simulator { em, ..Self::new(db, n_cores, cfg) }
     }
 
-    /// Run a workload (one application name per core) to completion.
+    /// Run a static workload (one application name per core) to completion.
     pub fn run(&self, app_names: &[&str]) -> SimResult {
-        let _span = RUN_SPAN.enter();
-        assert_eq!(app_names.len(), self.sys.n_cores, "one application per core");
-        let baseline = self.sys.baseline_setting();
-        let mut cores: Vec<Core<'a>> =
-            app_names.iter().map(|name| self.fresh_core(name, 0, baseline)).collect();
-
-        let interval = self.cfg.interval_insts;
-        let target_insts = self.cfg.target_intervals as f64 * interval;
-        let mut planner = RunPlanner::new(&self.sys);
-        let mut finish = FinishQueue::new(cores.len());
-        let mut now = 0.0f64;
-        let mut rm_invocations = 0u64;
-        let mut rm_ops = 0u64;
-        let mut finish_updates = 0u64;
-
-        while cores.iter().any(|c| c.total_insts < target_insts) {
-            // Next event: the earliest interval completion.
-            for (i, c) in cores.iter().enumerate() {
-                finish.set(i, c.time_to_finish(&self.sys, interval));
-            }
-            finish_updates += cores.len() as u64;
-            let (j, dt) = finish.min().expect("every core has a finite time to finish");
-
-            // Advance every core by dt, accruing energy.
-            for c in cores.iter_mut() {
-                self.advance_core(c, dt, target_insts);
-            }
-            now += dt;
-
-            // The finishing core completes its interval.
-            self.complete_interval(&mut cores[j], baseline);
-
-            // Invoke the RM on the finishing core (Fig. 5).
-            if let Some(kind) = self.cfg.rm {
-                rm_invocations += 1;
-                let ops = self.invoke_rm(&mut cores, &mut planner, j, kind, baseline);
-                rm_ops += ops;
-            } else {
-                cores[j].interval_setting = cores[j].setting;
-            }
-        }
-
-        RM_INVOCATIONS.add(rm_invocations);
-        FINISH_UPDATES.add(finish_updates);
-        ARRIVALS.add(app_names.len() as u64);
-        let core_mem: f64 = cores.iter().map(|c| c.energy_j).sum();
-        let uncore = self.em.uncore_energy(self.sys.n_cores, now);
-        let violations: u64 = cores.iter().map(|c| c.violations).sum();
-        let checked: u64 = cores.iter().map(|c| c.checked).sum();
-        let vsum: f64 = cores.iter().map(|c| c.violation_sum).sum();
-        SimResult {
-            total_energy_j: core_mem + uncore,
-            core_mem_energy_j: core_mem,
-            uncore_energy_j: uncore,
-            sim_time_s: now,
-            rm_invocations,
-            rm_ops,
-            qos_violations: violations,
-            intervals_checked: checked,
-            mean_violation: if violations > 0 { vsum / violations as f64 } else { 0.0 },
-            arrivals: app_names.len() as u64,
-            departures: 0,
-            vacancy_energy_j: 0.0,
-        }
-    }
-
-    /// Refresh core `j`'s energy curve (one leaf update), re-run the
-    /// incremental global optimization and apply the new system setting
-    /// (charging overheads). Cores that have not yet completed an interval
-    /// keep their pinned-baseline leaves.
-    fn invoke_rm(
-        &self,
-        cores: &mut [Core<'a>],
-        planner: &mut RunPlanner,
-        j: CoreId,
-        kind: RmKind,
-        baseline: Setting,
-    ) -> u64 {
-        let sig = self.local_plan_into(&cores[j], kind, baseline, &mut planner.scratch);
-        planner.set_planned(j, sig);
-
-        let view = planner.decide();
-        let ops = view.ops;
-        // Apply, charging transition overheads.
-        for (c, &new_setting) in cores.iter_mut().zip(view.settings) {
-            self.apply_setting(c, new_setting);
-        }
-        // RM software runs on the invoking core: its time and energy are
-        // charged to that core; `ops` already counts the algorithm work.
-        self.charge_rm_software(&mut cores[j], ops);
-        // The new interval of the finishing core starts at the new setting.
-        cores[j].interval_setting = cores[j].setting;
-        ops
+        self.run_trace(&WorkloadTrace::steady(app_names))
     }
 
     /// The model refresh of one RM invocation: read the just-completed
@@ -537,29 +462,7 @@ impl<'a> Simulator<'a> {
             }
         }
     }
-}
 
-/// Run-level counters folded out of cores as their occupants depart.
-#[derive(Default)]
-struct Folded {
-    energy_j: f64,
-    violations: u64,
-    checked: u64,
-    violation_sum: f64,
-}
-
-impl Folded {
-    fn absorb(&mut self, c: &Core<'_>) {
-        self.energy_j += c.energy_j;
-        self.violations += c.violations;
-        self.checked += c.checked;
-        self.violation_sum += c.violation_sum;
-    }
-}
-
-/// The dynamic-workload extension: trace-driven runs with arrivals,
-/// departures, churn and vacancy.
-impl<'a> Simulator<'a> {
     /// Advance one core by `dt` seconds, burning stall time first and
     /// accruing counted energy up to the target instruction count.
     fn advance_core(&self, c: &mut Core<'a>, dt: f64, target_insts: f64) {
@@ -637,10 +540,11 @@ impl<'a> Simulator<'a> {
         self.em.core_power(CoreSize::S, self.sys.dvfs.point(0), 0.0)
     }
 
-    /// RM invocation after a completed interval in a trace-driven run:
-    /// like the static-path invocation, but vacant cores contribute
-    /// baseline-pinned plans and receive no setting.
-    fn invoke_rm_dyn(
+    /// Refresh core `j`'s energy curve (one leaf update), re-run the
+    /// incremental global optimization and apply the new system setting
+    /// (charging overheads). Cores that have not yet completed an interval
+    /// keep their pinned-baseline leaves; vacant cores receive no setting.
+    fn invoke_rm(
         &self,
         cores: &mut [Option<Core<'a>>],
         planner: &mut RunPlanner,
@@ -652,6 +556,7 @@ impl<'a> Simulator<'a> {
         let sig = self.local_plan_into(finishing, kind, baseline, &mut planner.scratch);
         planner.set_planned(j, sig);
         let ops = self.replan(cores, planner, Some(j));
+        // The new interval of the finishing core starts at the new setting.
         let c = cores[j].as_mut().expect("finishing core is occupied");
         c.interval_setting = c.setting;
         ops
@@ -659,7 +564,7 @@ impl<'a> Simulator<'a> {
 
     /// Global re-plan over the cached planner leaves (no model refresh):
     /// invoked for every arrival/churn/departure event, and as the second
-    /// half of [`Simulator::invoke_rm_dyn`]. The RM software overhead is
+    /// half of [`Simulator::invoke_rm`]. The RM software overhead is
     /// charged to `charge_to` when that core is occupied.
     fn replan(
         &self,
@@ -682,26 +587,28 @@ impl<'a> Simulator<'a> {
         ops
     }
 
-    /// Replay a [`WorkloadTrace`] to completion.
+    /// Replay a [`WorkloadTrace`] to completion on the global interval
+    /// clock — the one event loop behind every run.
     ///
-    /// Static traces (one offset-0 arrival per core at `t = 0`, no
-    /// horizon) delegate to [`Simulator::run`] and are bit-identical to
-    /// the pre-subsystem path. Dynamic traces run on the global interval
-    /// clock: each loop turn completes the earliest-finishing occupied
-    /// core's interval, the RM re-plans on every completion *and* on every
-    /// arrival/churn/departure event, vacant cores burn
+    /// Each loop turn completes the earliest-finishing occupied core's
+    /// interval and invokes the RM on it (Fig. 5). The RM also re-plans on
+    /// every arrival/churn/departure batch, vacant cores burn
     /// [`Simulator::idle_core_power_w`] (reported as
-    /// [`SimResult::vacancy_energy_j`]), and the run ends after
-    /// `trace.horizon` global intervals. If every core is vacant the clock
-    /// fast-forwards to the next arrival without consuming simulated time.
+    /// [`SimResult::vacancy_energy_j`]), and if every core is vacant the
+    /// clock fast-forwards to the next arrival without consuming simulated
+    /// time. `trace.horizon` decides the two input-dependent rules:
+    ///
+    /// * `Some(h)` (dynamic traces): the run ends after `h` completed
+    ///   global intervals;
+    /// * `None` (static traces — one offset-0 arrival per core at
+    ///   `t = 0`, which [`WorkloadTrace::validate`] enforces): the `t = 0`
+    ///   arrivals are the initial assignment, not an RM invocation, and the
+    ///   run ends once every application reaches the target instruction
+    ///   count.
     pub fn run_trace(&self, trace: &WorkloadTrace) -> SimResult {
+        let _span = RUN_SPAN.enter();
         trace.validate().unwrap_or_else(|e| panic!("invalid workload trace: {e}"));
         assert_eq!(trace.n_cores, self.sys.n_cores, "trace width must match the system");
-        if let Some(names) = trace.static_names() {
-            return self.run(&names);
-        }
-        let _span = RUN_TRACE_SPAN.enter();
-        let horizon = trace.horizon.expect("validate: dynamic traces carry a horizon");
 
         let baseline = self.sys.baseline_setting();
         let interval = self.cfg.interval_insts;
@@ -755,24 +662,29 @@ impl<'a> Simulator<'a> {
                     }
                 }
             }
-            if fired && self.cfg.rm.is_some() {
+            if fired && self.cfg.rm.is_some() && trace.horizon.is_some() {
                 rm_invocations += 1;
                 rm_ops += self.replan(&mut cores, &mut planner, trigger);
             }
-            if completed >= horizon {
+            let done = match trace.horizon {
+                Some(h) => completed >= h,
+                None => cores.iter().flatten().all(|c| c.total_insts >= target_insts),
+            };
+            if done {
                 break;
             }
 
             // All cores vacant: fast-forward the clock to the next arrival
             // (no simulated time passes, so no idle energy accrues).
+            // `validate` keeps every event inside the horizon.
             if cores.iter().all(Option::is_none) {
                 match trace.events.get(ev) {
-                    Some(e) if e.at < horizon => {
+                    Some(e) => {
                         vacancy_ffwds += 1;
                         completed = completed.max(e.at);
                         continue;
                     }
-                    _ => break,
+                    None => break,
                 }
             }
 
@@ -801,7 +713,7 @@ impl<'a> Simulator<'a> {
 
             if let Some(kind) = self.cfg.rm {
                 rm_invocations += 1;
-                rm_ops += self.invoke_rm_dyn(&mut cores, &mut planner, j, kind, baseline);
+                rm_ops += self.invoke_rm(&mut cores, &mut planner, j, kind, baseline);
             } else {
                 let c = cores[j].as_mut().expect("finishing core");
                 c.interval_setting = c.setting;
@@ -999,19 +911,6 @@ mod tests {
     }
 
     use triad_workload::{TraceEvent, WorkloadSpec};
-
-    #[test]
-    fn static_traces_replay_bit_identically_to_run() {
-        let db = small_db();
-        let sim = Simulator::new(&db, 2, quick(SimConfig::perfect(RmKind::Rm3)));
-        let direct = sim.run(&["mcf", "povray"]);
-        let traced = sim.run_trace(&WorkloadTrace::steady(&["mcf", "povray"]));
-        assert_eq!(direct.total_energy_j, traced.total_energy_j);
-        assert_eq!(direct.sim_time_s, traced.sim_time_s);
-        assert_eq!(direct.rm_ops, traced.rm_ops);
-        assert_eq!(direct.arrivals, traced.arrivals);
-        assert_eq!(traced.vacancy_energy_j, 0.0);
-    }
 
     fn churn_trace() -> WorkloadTrace {
         WorkloadSpec::Churn {

@@ -7,7 +7,8 @@
 //! at every such event to re-optimize the whole system. This crate is that
 //! simulator, plus everything §IV needs around it:
 //!
-//! * [`engine`] — the event loop with overhead accounting (DVFS transition,
+//! * [`engine`] — the one event loop (static mixes replay as traces with
+//!   one arrival per core at `t = 0`) with overhead accounting (DVFS transition,
 //!   core-resize drain, RM software execution) and the paper's energy
 //!   bookkeeping (§IV-D1: per-app core+memory energy until the app reaches
 //!   the suite-maximum instruction count, plus uncore energy to the end);

@@ -87,7 +87,7 @@ enum Ctx {
 
 /// Pull parser over a complete input string.
 pub struct Parser<'a> {
-    src: &'a [u8],
+    src: &'a str,
     pos: usize,
     stack: Vec<Ctx>,
     mode: Mode,
@@ -96,7 +96,7 @@ pub struct Parser<'a> {
 impl<'a> Parser<'a> {
     /// A parser positioned at the start of `src`.
     pub fn new(src: &'a str) -> Self {
-        Parser { src: src.as_bytes(), pos: 0, stack: Vec::new(), mode: Mode::Value }
+        Parser { src, pos: 0, stack: Vec::new(), mode: Mode::Value }
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
@@ -104,7 +104,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.src.get(self.pos) {
+        while let Some(&b) = self.src.as_bytes().get(self.pos) {
             if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
                 self.pos += 1;
             } else {
@@ -114,7 +114,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
@@ -249,7 +249,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str) -> Result<(), ParseError> {
-        if self.src[self.pos..].starts_with(lit.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(())
         } else {
@@ -296,7 +296,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.src[start..self.pos]).expect("ASCII number");
+        let text = &self.src[start..self.pos];
         if is_float {
             let x: f64 = text.parse().map_err(|e| ParseError {
                 offset: start,
@@ -367,12 +367,17 @@ impl<'a> Parser<'a> {
                     return self.err("unescaped control character in string");
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is valid UTF-8 by &str).
-                    let rest =
-                        std::str::from_utf8(&self.src[self.pos..]).expect("&str input is UTF-8");
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one go. All three are ASCII, so they
+                    // never split a multi-byte UTF-8 scalar and the run
+                    // ends on a char boundary.
+                    let start = self.pos;
+                    let run = self.src.as_bytes()[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.src.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }

@@ -21,9 +21,12 @@
 //! * [`failpoint`] — deterministic fault injection at named sites
 //!   (`TRIAD_FAILPOINTS` or programmatic), inert at one relaxed load +
 //!   branch per site, the substrate of the crash-safety tests.
+//! * [`fs`] — [`fs::atomic_write`], the tempfile + `rename` discipline
+//!   every persisted artifact is written with.
 
 pub mod bench;
 pub mod failpoint;
+pub mod fs;
 pub mod hash;
 pub mod json;
 mod json_parse;

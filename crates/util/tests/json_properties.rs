@@ -178,3 +178,48 @@ fn deeply_nested_but_balanced_input_parses() {
     }
     assert_eq!(doc, Json::Int(1));
 }
+
+/// A document of `records` objects whose string values mix ASCII runs,
+/// 2-, 3- and 4-byte UTF-8 scalars and escapes.
+fn multibyte_document(records: usize) -> String {
+    let rows: Vec<Json> = (0..records)
+        .map(|i| {
+            Json::obj()
+                .set("name", format!("café-{i} naïve ∂x/∂t 𝄞 \"quoted\"\tTab"))
+                .set("tags", Json::Arr(vec![Json::from("Größe"), Json::from("速度")]))
+                .set("value", i as f64 * 0.5)
+        })
+        .collect();
+    Json::Arr(rows).to_string_compact()
+}
+
+/// Seconds for one parse of `doc`.
+fn parse_s(doc: &str) -> f64 {
+    let t = std::time::Instant::now();
+    std::hint::black_box(parse(std::hint::black_box(doc)).expect("valid document"));
+    t.elapsed().as_secs_f64()
+}
+
+#[test]
+fn string_parsing_scales_linearly() {
+    let small = multibyte_document(500);
+    let large = multibyte_document(1_000);
+    assert!(large.len() >= 2 * small.len() - 2);
+    assert_eq!(parse(&small).unwrap().to_string_compact(), small);
+    // Fastest of 7 interleaved runs per size, so both sizes see the same
+    // host load; a quadratic parser lands near 4x on every attempt, so
+    // retrying a noisy attempt cannot hide one.
+    let mut ratio = f64::INFINITY;
+    for _ in 0..3 {
+        let (mut s, mut l) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..7 {
+            s = s.min(parse_s(&small));
+            l = l.min(parse_s(&large));
+        }
+        ratio = l / s;
+        if ratio <= 2.5 {
+            return;
+        }
+    }
+    panic!("doubling the document multiplied parse time by {ratio:.2}");
+}

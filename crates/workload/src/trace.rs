@@ -89,8 +89,7 @@ impl WorkloadTrace {
     }
 
     /// If the trace is purely static (one offset-0 arrival per core at
-    /// `t = 0`, no horizon), the per-core application names — the form the
-    /// pre-subsystem simulator path accepts verbatim.
+    /// `t = 0`, no horizon), the per-core application names.
     pub fn static_names(&self) -> Option<Vec<&str>> {
         if self.horizon.is_some() || self.events.len() != self.n_cores {
             return None;

@@ -95,15 +95,15 @@ fn persist_reload_replays_bit_exactly_and_corruption_falls_back() {
 }
 
 #[test]
-fn run_cached_resolves_exactly_the_apps_the_campaign_needs() {
-    let dir = std::env::temp_dir().join(format!("triad-db-store-runcached-{}", std::process::id()));
+fn store_resolves_exactly_the_apps_the_campaign_needs() {
+    let dir = std::env::temp_dir().join(format!("triad-db-store-required-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = DbStore::new(&dir);
     let cfg = DbConfig::fast();
 
     let c = campaign();
-    let rows_cold = c.run_cached(&store, &cfg);
-    let rows_warm = c.run_cached(&store, &cfg);
+    let rows_cold = c.run(&store.resolve(&c.required_apps(), &cfg).db);
+    let rows_warm = c.run(&store.resolve(&c.required_apps(), &cfg).db);
     assert_eq!(
         Campaign::report(&rows_cold).to_string_pretty(),
         Campaign::report(&rows_warm).to_string_pretty()
