@@ -75,6 +75,13 @@ fn main() {
             ]
         })
         .collect();
+    // The 6-pass shape's two sweeps per core: monitored at the low fit
+    // frequency, unmonitored at the high one.
+    let lo_lanes: Vec<LaneSpec> = (W_MIN..=W_MAX)
+        .map(|w| LaneSpec { ways: w, freq_hz: cfg.fit_lo_hz, monitor: true })
+        .collect();
+    let hi_lanes: Vec<LaneSpec> =
+        (W_MIN..=W_MAX).map(|w| LaneSpec::new(w, cfg.fit_hi_hz)).collect();
 
     let mut worst_build = 0.0f64;
     let mut worst_grid_ratio = f64::INFINITY;
@@ -125,14 +132,8 @@ fn main() {
                 let mut mons: Vec<MlpMonitor> =
                     (W_MIN..=W_MAX).map(|_| MlpMonitor::table1()).collect();
                 let lo_cfg = TimingConfig::table1(c, cfg.fit_lo_hz, W_MIN);
-                black_box(engine.simulate_ways_with_monitors(
-                    detailed,
-                    &ct,
-                    &lo_cfg,
-                    W_MIN..=W_MAX,
-                    &mut mons,
-                ));
-                black_box(engine.simulate_ways(detailed, &ct, c, cfg.fit_hi_hz, W_MIN..=W_MAX));
+                black_box(engine.simulate_lanes(detailed, &ct, &lo_cfg, &lo_lanes, &mut mons));
+                black_box(engine.simulate_lanes(detailed, &ct, &lo_cfg, &hi_lanes, &mut []));
             }
         });
         let fused_ratio = two_pass.secs_per_iter / m.secs_per_iter;
@@ -149,19 +150,13 @@ fn main() {
 
         let legacy = bench(&format!("db_build/legacy_grid_{name}"), None, budget, || {
             for c in CoreSize::ALL {
-                for w in W_MIN..=W_MAX {
+                for (lo, hi) in lo_lanes.iter().zip(&hi_lanes) {
                     let mut mon = MlpMonitor::table1();
-                    black_box(engine.simulate_with_monitor(
-                        detailed,
-                        &ct,
-                        &TimingConfig::table1(c, cfg.fit_lo_hz, w),
-                        &mut mon,
-                    ));
-                    black_box(engine.simulate(
-                        detailed,
-                        &ct,
-                        &TimingConfig::table1(c, cfg.fit_hi_hz, w),
-                    ));
+                    let lo_cfg = TimingConfig::table1(c, lo.freq_hz, lo.ways);
+                    let hi_cfg = TimingConfig::table1(c, hi.freq_hz, hi.ways);
+                    let mon = std::slice::from_mut(&mut mon);
+                    black_box(engine.simulate_lanes(detailed, &ct, &lo_cfg, &[*lo], mon));
+                    black_box(engine.simulate_lanes(detailed, &ct, &hi_cfg, &[*hi], &mut []));
                 }
             }
         });
@@ -170,14 +165,8 @@ fn main() {
                 let mut mons: Vec<MlpMonitor> =
                     (W_MIN..=W_MAX).map(|_| MlpMonitor::table1()).collect();
                 let lo_cfg = TimingConfig::table1(c, cfg.fit_lo_hz, W_MIN);
-                black_box(engine.simulate_ways_with_monitors(
-                    detailed,
-                    &ct,
-                    &lo_cfg,
-                    W_MIN..=W_MAX,
-                    &mut mons,
-                ));
-                black_box(engine.simulate_ways(detailed, &ct, c, cfg.fit_hi_hz, W_MIN..=W_MAX));
+                black_box(engine.simulate_lanes(detailed, &ct, &lo_cfg, &lo_lanes, &mut mons));
+                black_box(engine.simulate_lanes(detailed, &ct, &lo_cfg, &hi_lanes, &mut []));
             }
         });
         engine.disable_lane_dedup(false);

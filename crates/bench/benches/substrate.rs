@@ -9,7 +9,7 @@ use triad_arch::{CacheGeometry, CoreSize};
 use triad_cache::{classify, Atd, MlpMonitor};
 use triad_rm::{optimize_partition, EnergyCurve};
 use triad_trace::{MemRegion, PhaseSpec};
-use triad_uarch::{TimingConfig, TimingEngine};
+use triad_uarch::{LaneSpec, TimingConfig, TimingEngine};
 use triad_util::bench::bench;
 
 const BUDGET: Duration = Duration::from_millis(400);
@@ -44,9 +44,12 @@ fn bench_timing() {
     let geom = CacheGeometry::table1_scaled(4, 16);
     let ct = classify(&t, &geom);
     let mut engine = TimingEngine::new();
+    let single = [LaneSpec::new(8, 2.0e9)];
+    let ways: Vec<LaneSpec> = (2..=16).map(|w| LaneSpec::new(w, 2.0e9)).collect();
     for core in CoreSize::ALL {
+        let tc = TimingConfig::table1(core, 2.0e9, 8);
         bench(&format!("timing/ooo_model_{core}"), Some(t.len() as u64), BUDGET, || {
-            black_box(engine.simulate(&t.insts, &ct, &TimingConfig::table1(core, 2.0e9, 8)));
+            black_box(engine.simulate_lanes(&t.insts, &ct, &tc, &single, &mut []));
         });
         // The lockstep grid unit: all 15 allocations in one trace pass.
         bench(
@@ -54,7 +57,7 @@ fn bench_timing() {
             Some(15 * t.len() as u64),
             BUDGET,
             || {
-                black_box(engine.simulate_ways(&t.insts, &ct, core, 2.0e9, 2..=16));
+                black_box(engine.simulate_lanes(&t.insts, &ct, &tc, &ways, &mut []));
             },
         );
     }

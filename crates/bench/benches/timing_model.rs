@@ -3,16 +3,16 @@
 //! The ROADMAP's hot-path item: database builds are dominated by the
 //! out-of-order timing model — every phase runs it over the whole
 //! (core size × frequency × ways) grid, and each run replays one detailed
-//! interval (the scaled 100M-instruction window). This bench measures both
-//! engine modes for a memory-bound and a compute-bound phase:
+//! interval (the scaled 100M-instruction window). This bench runs three
+//! lane plans through one held engine's [`TimingEngine::simulate_lanes`]
+//! for a memory-bound and a compute-bound phase:
 //!
-//! * **scalar** — one [`TimingEngine::simulate`] call per interval (the
-//!   legacy unit; ns/instruction),
-//! * **batched** — one [`TimingEngine::simulate_ways`] lockstep pass over
-//!   the full 15-allocation ways grid (ns per instruction·grid-point), and
-//! * **fused** — one [`TimingEngine::simulate_lanes`] pass over the
-//!   database build's 30-lane mixed-frequency plan, versus the two
-//!   single-frequency passes it replaced.
+//! * **scalar** — a single lane per interval (the legacy unit;
+//!   ns/instruction),
+//! * **batched** — one lane per allocation of the full 15-allocation ways
+//!   grid at one frequency (ns per instruction·grid-point), and
+//! * **fused** — the database build's 30-lane mixed-frequency plan, versus
+//!   the two single-frequency ways passes it replaced.
 //!
 //! Run with `cargo bench -p triad-bench --bench timing_model`; set
 //! `TRIAD_BENCH_BUDGET_MS` to shrink the measurement window (CI smoke).
@@ -68,23 +68,26 @@ fn main() {
 
         // The paper's baseline operating point: medium core, 2 GHz, 8 ways.
         let tc = TimingConfig::table1(CoreSize::M, 2.0e9, 8);
+        let scalar_lane = [LaneSpec::new(tc.ways, tc.freq_hz)];
         let m = bench(
             &format!("timing_model/scalar_{name}"),
             Some(detailed.len() as u64),
             budget,
             || {
-                black_box(engine.simulate(detailed, &ct, &tc));
+                black_box(engine.simulate_lanes(detailed, &ct, &tc, &scalar_lane, &mut []));
             },
         );
         let scalar_ns = m.secs_per_iter * 1e9 / n;
 
         // The grid-sweep unit: all 15 allocations in one lockstep pass.
+        let ways_at = |freq| (W_MIN..=W_MAX).map(|w| LaneSpec::new(w, freq)).collect::<Vec<_>>();
+        let ways_lanes = ways_at(tc.freq_hz);
         let m = bench(
             &format!("timing_model/batched_ways_{name}"),
             Some((n * nw) as u64),
             budget,
             || {
-                black_box(engine.simulate_ways(detailed, &ct, CoreSize::M, 2.0e9, W_MIN..=W_MAX));
+                black_box(engine.simulate_lanes(detailed, &ct, &tc, &ways_lanes, &mut []));
             },
         );
         let batched_ns = m.secs_per_iter * 1e9 / (n * nw);
@@ -100,25 +103,14 @@ fn main() {
             .flat_map(|w| [LaneSpec::new(w, cfg.fit_lo_hz), LaneSpec::new(w, cfg.fit_hi_hz)])
             .collect();
         let lane_cfg = TimingConfig::table1(CoreSize::M, cfg.fit_lo_hz, W_MIN);
+        let (lo_lanes, hi_lanes) = (ways_at(cfg.fit_lo_hz), ways_at(cfg.fit_hi_hz));
         let two_pass = bench(
             &format!("timing_model/two_pass_2f_{name}"),
             Some((n * nw * 2.0) as u64),
             budget,
             || {
-                black_box(engine.simulate_ways(
-                    detailed,
-                    &ct,
-                    CoreSize::M,
-                    cfg.fit_lo_hz,
-                    W_MIN..=W_MAX,
-                ));
-                black_box(engine.simulate_ways(
-                    detailed,
-                    &ct,
-                    CoreSize::M,
-                    cfg.fit_hi_hz,
-                    W_MIN..=W_MAX,
-                ));
+                black_box(engine.simulate_lanes(detailed, &ct, &lane_cfg, &lo_lanes, &mut []));
+                black_box(engine.simulate_lanes(detailed, &ct, &lane_cfg, &hi_lanes, &mut []));
             },
         );
         let fused = bench(

@@ -1,6 +1,7 @@
 //! `build_phase` runs the grid through the lockstep batched engine; this
 //! test pins it bit-identically to the legacy formulation — one
-//! independent `simulate` / `simulate_with_monitor` call per
+//! independent single-lane `simulate` call (monitored at the low fit
+//! frequency) per
 //! (core, frequency, allocation) grid point — so the phase-database
 //! artifacts (and everything downstream: campaign rows, goldens, store
 //! digests) cannot drift.
@@ -9,7 +10,7 @@ use triad_arch::{CacheGeometry, CoreSize};
 use triad_cache::{classify_warm, MlpMonitor};
 use triad_phasedb::{build_phase, cw, DbConfig, MonitorStats, PhaseRecord, NC, NW, W_MAX, W_MIN};
 use triad_trace::PhaseSpec;
-use triad_uarch::{simulate, simulate_with_monitor, TimingConfig};
+use triad_uarch::{simulate, TimingConfig};
 
 /// The pre-engine `build_phase`: 2 × NC × NW independent trace passes.
 fn legacy_build_phase(spec: &PhaseSpec, cfg: &DbConfig) -> PhaseRecord {
@@ -44,13 +45,9 @@ fn legacy_build_phase(spec: &PhaseSpec, cfg: &DbConfig) -> PhaseRecord {
     for c in CoreSize::ALL {
         for w in W_MIN..=W_MAX {
             let mut mon = MlpMonitor::table1();
-            let lo = simulate_with_monitor(
-                detailed,
-                &ct,
-                &TimingConfig::table1(c, cfg.fit_lo_hz, w),
-                &mut mon,
-            );
-            let hi = simulate(detailed, &ct, &TimingConfig::table1(c, cfg.fit_hi_hz, w));
+            let lo =
+                simulate(detailed, &ct, &TimingConfig::table1(c, cfg.fit_lo_hz, w), Some(&mut mon));
+            let hi = simulate(detailed, &ct, &TimingConfig::table1(c, cfg.fit_hi_hz, w), None);
 
             let t_lo = lo.time_s / n;
             let t_hi = hi.time_s / n;

@@ -22,7 +22,6 @@
 //! Everything is seeded; identical seeds produce identical traces.
 
 pub mod apps;
-pub mod bbv;
 pub mod inst;
 pub mod phase;
 

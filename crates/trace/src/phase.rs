@@ -78,7 +78,7 @@ impl MemRegion {
 /// Parameter set describing one program phase.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSpec {
-    /// Stable tag mixed into the RNG seed and the BBV signature.
+    /// Stable tag mixed into the RNG seed.
     pub tag: u64,
     /// Fraction of instructions that are loads.
     pub load_frac: f64,

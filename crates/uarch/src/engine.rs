@@ -1,9 +1,11 @@
 //! The reusable lockstep timing engine.
 //!
-//! [`TimingEngine`] executes the same out-of-order model as the original
-//! `simulate` free function — and is proven byte-identical to it by
-//! property tests and the campaign/phase-db goldens — but restructures the
-//! inner loop around four observations:
+//! [`TimingEngine`] executes the out-of-order model of the original
+//! trace-length implementation — proven byte-identical to it lane by lane
+//! by property tests and the campaign/phase-db goldens — but restructures
+//! the inner loop around five observations. Its one entry point is
+//! [`TimingEngine::simulate_lanes`]; [`crate::simulate`] is the single-lane
+//! helper over a fresh engine.
 //!
 //! 1. **ROB-bounded ring buffers.** The original implementation kept five
 //!    trace-length arrays (`dispatch`/`issue`/`complete`/`retire`/`class`)
@@ -44,10 +46,11 @@
 //!    frequency only rescales the DRAM latency into core cycles (every
 //!    on-chip latency of Table I is specified *in cycles*). [`LaneSpec`]
 //!    captures exactly that degree of freedom — `(ways, freq_hz)` — and
-//!    [`TimingEngine::simulate_lanes`] advances any number of such lanes
-//!    through the trace in **one pass**: instruction/dependence/LSQ decode
-//!    and the ascending-way hit/miss prefix split are shared, and only the
-//!    cycle arithmetic runs per lane. The phase-database build that once
+//!    every run is a lane plan: [`TimingEngine::simulate_lanes`] advances
+//!    any number of such lanes (one, for [`crate::simulate`]) through the
+//!    trace in **one pass**. Instruction/dependence/LSQ decode and the
+//!    ascending-way hit/miss prefix split are shared; only the cycle
+//!    arithmetic runs per lane. The phase-database build that once
 //!    walked the same trace 90× per phase (15 allocations × 2 fit
 //!    frequencies × 3 core sizes) now touches it **3×** — one 30-lane pass
 //!    per core size, both fit frequencies fused.
@@ -72,10 +75,12 @@
 //!    most one group cycle; completion by at most the largest fixed
 //!    latency, the DRAM zero-load latency and the *total* queue backlog,
 //!    which itself grows by one service slot per request; redirects add
-//!    the mispredict penalty). When `(n + 1) × per_inst_bound` fits in
-//!    `u32`, the rings store 32-bit cycles — halving ring traffic — while
-//!    all arithmetic stays in `u64`, so results are bit-identical to the
-//!    wide representation (asserted by property tests via
+//!    the mispredict penalty). [`TimingEngine::simulate_lanes`] evaluates
+//!    this bound once per call over its lane plan (at the plan's highest
+//!    clock); when `(n + 1) × per_inst_bound` fits in `u32`, the rings
+//!    store 32-bit cycles — halving ring traffic — while all arithmetic
+//!    stays in `u64`, so results are bit-identical to the wide
+//!    representation (asserted by property tests via
 //!    [`TimingEngine::force_wide_cycles`]).
 //!
 //! 5. **Group-major fast path.** When a run has no monitors to feed, lanes
@@ -96,10 +101,8 @@
 //!    `db_build` bench gate assert bit-identical results and the ≥1.2×
 //!    win on the memory-bound archetype.
 
-use std::ops::RangeInclusive;
-
 use crate::model::{TimingConfig, TimingResult};
-use triad_arch::{CoreParams, CoreSize};
+use triad_arch::CoreParams;
 use triad_cache::{is_llc_code, llc_stack_dist_of, service_level_of, ClassifiedTrace, MlpMonitor};
 use triad_mem::{DramLaneState, DramLanes, DramQueue, FP_SHIFT};
 use triad_telemetry::Counter;
@@ -305,10 +308,12 @@ fn grow_mut<C>(buf: &mut [C], row: usize) -> &mut [C; GW] {
 /// Cycle-cell representation of the ring buffers: `u32` when the run's
 /// conservative cycle bound fits (half the ring traffic), `u64` otherwise.
 /// All arithmetic happens in `u64`; cells only narrow storage.
-trait Cycle: Copy {
+trait Cycle: Copy + Default {
     const ZERO: Self;
     fn of(v: u64) -> Self;
     fn get(self) -> u64;
+    /// The engine's ring scratch of this cell width.
+    fn rings(engine: &mut TimingEngine) -> &mut Rings<Self>;
 }
 
 impl Cycle for u32 {
@@ -322,6 +327,9 @@ impl Cycle for u32 {
     fn get(self) -> u64 {
         self as u64
     }
+    fn rings(engine: &mut TimingEngine) -> &mut Rings<Self> {
+        &mut engine.rings32
+    }
 }
 
 impl Cycle for u64 {
@@ -333,6 +341,9 @@ impl Cycle for u64 {
     #[inline(always)]
     fn get(self) -> u64 {
         self
+    }
+    fn rings(engine: &mut TimingEngine) -> &mut Rings<Self> {
+        &mut engine.rings64
     }
 }
 
@@ -354,11 +365,11 @@ struct Rings<C> {
 
 /// A reusable out-of-order timing engine: holds all scratch state across
 /// calls and simulates one or many [`LaneSpec`] configurations per trace
-/// pass.
+/// pass through its one entry point, [`TimingEngine::simulate_lanes`].
 ///
-/// The free functions [`crate::simulate`] / [`crate::simulate_with_monitor`]
-/// are thin wrappers over a fresh single-lane engine and remain
-/// byte-identical to the pre-engine implementation.
+/// The free function [`crate::simulate`] runs a single lane on a fresh
+/// engine; callers that simulate repeatedly hold an engine instead so its
+/// scratch is reused.
 #[derive(Default)]
 pub struct TimingEngine {
     rings32: Rings<u32>,
@@ -378,8 +389,6 @@ pub struct TimingEngine {
     llc_loads: Vec<Vec<(u64, u32, u8)>>,
     /// Lane states for the current call.
     lanes: Vec<Lane>,
-    /// Lane-descriptor scratch for the range-based entry points.
-    lane_buf: Vec<LaneSpec>,
     /// SoA DRAM channel block for the fast lane loop (one channel per
     /// lane, reset per run).
     dramv: DramLanes,
@@ -425,99 +434,18 @@ impl TimingEngine {
         self.scalar_dram = off;
     }
 
-    /// Simulate `trace` (classified as `ct`) under `cfg` — the single-lane
-    /// path, byte-identical to [`crate::simulate`].
-    pub fn simulate(
-        &mut self,
-        trace: &[Inst],
-        ct: &ClassifiedTrace,
-        cfg: &TimingConfig,
-    ) -> TimingResult {
-        self.lane_buf.clear();
-        self.lane_buf.push(LaneSpec::new(cfg.ways, cfg.freq_hz));
-        self.run(trace, ct, cfg, None)[0]
-    }
-
-    /// [`TimingEngine::simulate`], feeding every LLC load (in LLC arrival
-    /// order) into `monitor` — byte-identical to
-    /// [`crate::simulate_with_monitor`].
-    pub fn simulate_with_monitor(
-        &mut self,
-        trace: &[Inst],
-        ct: &ClassifiedTrace,
-        cfg: &TimingConfig,
-        monitor: &mut MlpMonitor,
-    ) -> TimingResult {
-        self.lane_buf.clear();
-        self.lane_buf.push(LaneSpec { ways: cfg.ways, freq_hz: cfg.freq_hz, monitor: true });
-        self.run(trace, ct, cfg, Some(std::slice::from_mut(monitor)))[0]
-    }
-
-    /// Lockstep batched mode: simulate every allocation in `ways` at the
-    /// Table I latencies for `(core, freq_hz)` in **one trace pass**,
-    /// returning one [`TimingResult`] per allocation in range order. Each
-    /// result is bit-identical to a standalone [`crate::simulate`] at that
-    /// allocation.
-    pub fn simulate_ways(
-        &mut self,
-        trace: &[Inst],
-        ct: &ClassifiedTrace,
-        core: CoreSize,
-        freq_hz: f64,
-        ways: RangeInclusive<usize>,
-    ) -> Vec<TimingResult> {
-        let cfg = TimingConfig::table1(core, freq_hz, *ways.start());
-        self.simulate_ways_cfg(trace, ct, &cfg, ways)
-    }
-
-    /// [`TimingEngine::simulate_ways`] with explicit (non-Table I)
-    /// latencies: `cfg.ways` is overridden per lane by `ways`.
-    pub fn simulate_ways_cfg(
-        &mut self,
-        trace: &[Inst],
-        ct: &ClassifiedTrace,
-        cfg: &TimingConfig,
-        ways: RangeInclusive<usize>,
-    ) -> Vec<TimingResult> {
-        self.lane_buf.clear();
-        self.lane_buf.extend(ways.map(|w| LaneSpec::new(w, cfg.freq_hz)));
-        self.run(trace, ct, cfg, None)
-    }
-
-    /// Batched mode with one [`MlpMonitor`] per way lane: lane `k` feeds
-    /// `monitors[k]` with its own arrival-ordered LLC load stream, exactly
-    /// as a standalone [`crate::simulate_with_monitor`] at that allocation
-    /// would.
-    pub fn simulate_ways_with_monitors(
-        &mut self,
-        trace: &[Inst],
-        ct: &ClassifiedTrace,
-        cfg: &TimingConfig,
-        ways: RangeInclusive<usize>,
-        monitors: &mut [MlpMonitor],
-    ) -> Vec<TimingResult> {
-        self.lane_buf.clear();
-        self.lane_buf.extend(ways.map(|w| LaneSpec {
-            ways: w,
-            freq_hz: cfg.freq_hz,
-            monitor: true,
-        }));
-        assert_eq!(monitors.len(), self.lane_buf.len(), "one monitor per way lane");
-        self.run(trace, ct, cfg, Some(monitors))
-    }
-
-    /// The general lockstep entry point: one pass over `trace` advancing
+    /// The engine's one entry point: a single pass over `trace` advancing
     /// every lane in `specs` — arbitrary `(ways, freq_hz)` pairs, as long
     /// as `ways` is non-decreasing across the lane list (the prefix-split
     /// decode relies on it). `cfg` provides the core size and the shared
     /// cycle-domain latencies; its `ways`/`freq_hz` fields are overridden
     /// per lane. `monitors` receives one entry per `monitor == true` lane,
-    /// in lane order.
+    /// in lane order, and is empty when no lane is monitored.
     ///
     /// Each lane's [`TimingResult`] (and monitor state) is bit-identical to
-    /// a standalone [`crate::simulate`] / [`crate::simulate_with_monitor`]
-    /// at that lane's configuration — the property the phase-database
-    /// build's byte-identical-artifact golden rests on.
+    /// a standalone [`crate::simulate`] at that lane's configuration — the
+    /// property the phase-database build's byte-identical-artifact golden
+    /// rests on.
     pub fn simulate_lanes(
         &mut self,
         trace: &[Inst],
@@ -526,24 +454,18 @@ impl TimingEngine {
         specs: &[LaneSpec],
         monitors: &mut [MlpMonitor],
     ) -> Vec<TimingResult> {
-        self.lane_buf.clear();
-        self.lane_buf.extend_from_slice(specs);
+        assert!(!specs.is_empty(), "at least one lane required");
         let monitored = specs.iter().filter(|s| s.monitor).count();
         assert_eq!(monitors.len(), monitored, "one monitor per monitored lane");
-        self.run(trace, ct, cfg, Some(monitors))
-    }
-
-    /// Conservative upper bound on any cycle value stored during a run:
-    /// each instruction advances every lane clock by at most one group
-    /// cycle plus a dispatch slot, the largest completion latency and a
-    /// redirect penalty; DRAM queueing adds (amortized) one channel
-    /// service slot per request plus the zero-load latency. Summed over
-    /// `n + 1` instructions this dominates every stored `issue`, `complete`,
-    /// `retire` and `branch_resume` value, so cells fit `u32` whenever the
-    /// bound does.
-    fn cycle_bound(&self, n: usize, cfg: &TimingConfig) -> u128 {
-        let max_freq =
-            self.lane_buf.iter().map(|s| s.freq_hz).fold(0.0f64, f64::max).max(cfg.freq_hz);
+        // Conservative upper bound on any cycle value stored during the
+        // run: each instruction advances every lane clock by at most one
+        // group cycle plus a dispatch slot, the largest completion latency
+        // and a redirect penalty; DRAM queueing adds (amortized) one
+        // channel service slot per request plus the zero-load latency.
+        // Summed over `n + 1` instructions this dominates every stored
+        // `issue`, `complete`, `retire` and `branch_resume` value, so cells
+        // fit `u32` whenever the bound does.
+        let max_freq = specs.iter().map(|s| s.freq_hz).fold(0.0f64, f64::max).max(cfg.freq_hz);
         let probe = DramQueue::new(cfg.dram, max_freq);
         let lat_max = cfg.lat_llc.max(cfg.lat_longop).max(cfg.lat_l2).max(cfg.lat_l1) as u64;
         let per_inst = 4
@@ -551,20 +473,7 @@ impl TimingEngine {
             + lat_max
             + probe.base_cycles()
             + probe.service_cycles_ceil();
-        (n as u128 + 1) * per_inst as u128
-    }
-
-    /// Dispatch to the narrow/wide ring representation and the fast/
-    /// scalar-DRAM lane loop.
-    fn run(
-        &mut self,
-        trace: &[Inst],
-        ct: &ClassifiedTrace,
-        cfg: &TimingConfig,
-        monitors: Option<&mut [MlpMonitor]>,
-    ) -> Vec<TimingResult> {
-        assert!(!self.lane_buf.is_empty(), "at least one lane required");
-        let bound = self.cycle_bound(trace.len(), cfg);
+        let bound = (trace.len() as u128 + 1) * per_inst as u128;
         // The fast loop packs the stall class into the low 2 bits of the
         // `complete`/`retire` cells (stored values ×4) and runs the DRAM
         // update in u64 fixed point (arrivals < 2^54). Both hold whenever
@@ -575,30 +484,10 @@ impl TimingEngine {
         let stored = if scalar { bound } else { bound * 4 + 3 };
         let narrow = !self.force_wide && stored <= u32::MAX as u128;
         match (narrow, scalar) {
-            (true, false) => {
-                let mut rings = std::mem::take(&mut self.rings32);
-                let out = self.run_cells::<u32, false>(&mut rings, trace, ct, cfg, monitors);
-                self.rings32 = rings;
-                out
-            }
-            (true, true) => {
-                let mut rings = std::mem::take(&mut self.rings32);
-                let out = self.run_cells::<u32, true>(&mut rings, trace, ct, cfg, monitors);
-                self.rings32 = rings;
-                out
-            }
-            (false, false) => {
-                let mut rings = std::mem::take(&mut self.rings64);
-                let out = self.run_cells::<u64, false>(&mut rings, trace, ct, cfg, monitors);
-                self.rings64 = rings;
-                out
-            }
-            (false, true) => {
-                let mut rings = std::mem::take(&mut self.rings64);
-                let out = self.run_cells::<u64, true>(&mut rings, trace, ct, cfg, monitors);
-                self.rings64 = rings;
-                out
-            }
+            (true, false) => self.run_cells::<u32, false>(trace, ct, cfg, specs, monitors),
+            (true, true) => self.run_cells::<u32, true>(trace, ct, cfg, specs, monitors),
+            (false, false) => self.run_cells::<u64, false>(trace, ct, cfg, specs, monitors),
+            (false, true) => self.run_cells::<u64, true>(trace, ct, cfg, specs, monitors),
         }
     }
 
@@ -618,15 +507,15 @@ impl TimingEngine {
     /// DRAM regimes).
     fn run_cells<C: Cycle, const SCALAR: bool>(
         &mut self,
-        rings: &mut Rings<C>,
         trace: &[Inst],
         ct: &ClassifiedTrace,
         cfg: &TimingConfig,
-        monitors: Option<&mut [MlpMonitor]>,
+        specs: &[LaneSpec],
+        monitors: &mut [MlpMonitor],
     ) -> Vec<TimingResult> {
         let n = trace.len();
         assert_eq!(n, ct.len(), "trace and classification must align");
-        let nl = self.lane_buf.len();
+        let nl = specs.len();
         assert!(nl < 256, "lane count must fit the split byte");
         if n == 0 {
             return vec![TimingResult::default(); nl];
@@ -660,17 +549,17 @@ impl TimingEngine {
         // Ascending way order is what lets the per-instruction service-level
         // decision collapse to a prefix split (see [`Dec`]).
         assert!(
-            self.lane_buf.windows(2).all(|p| p[0].ways <= p[1].ways),
+            specs.windows(2).all(|p| p[0].ways <= p[1].ways),
             "lane ways must be non-decreasing"
         );
         self.memops.resize(lcap, 0);
         self.dec.resize(BLOCK, Dec::default());
         self.lanes.clear();
-        for spec in &self.lane_buf {
+        for spec in specs {
             self.lanes.push(Lane::new(cfg, spec));
         }
         if !SCALAR {
-            self.dramv.reset(cfg.dram, self.lane_buf.iter().map(|s| s.freq_hz));
+            self.dramv.reset(cfg.dram, specs.iter().map(|s| s.freq_hz));
         }
         // Lane-reuse audit: `PhaseScratch` drives one engine through every
         // grid cell of a phase-db build, so every channel horizon and
@@ -688,7 +577,7 @@ impl TimingEngine {
         // re-derived this per instruction via `partition_point`).
         let mut split_of = [0u8; 16];
         for (dist, s) in split_of.iter_mut().enumerate() {
-            *s = self.lane_buf.partition_point(|l| l.ways <= dist) as u8;
+            *s = specs.partition_point(|l| l.ways <= dist) as u8;
         }
         let codes = ct.codes();
 
@@ -725,13 +614,13 @@ impl TimingEngine {
         for k in 0..nl {
             let mut r = k;
             for j in 0..k * (!self.no_dedup as usize) {
-                let wj16 = self.lane_buf[j].ways.min(16);
-                let wk16 = self.lane_buf[k].ways.min(16);
+                let wj16 = specs[j].ways.min(16);
+                let wk16 = specs[k].ways.min(16);
                 if present[wj16..wk16].iter().any(|&p| p) {
                     continue;
                 }
                 let dram_free = !cold_any && !present[wj16..].iter().any(|&p| p);
-                if self.lane_buf[j].freq_hz == self.lane_buf[k].freq_hz || dram_free {
+                if specs[j].freq_hz == specs[k].freq_hz || dram_free {
                     r = self.rep[j];
                     break;
                 }
@@ -739,7 +628,7 @@ impl TimingEngine {
             self.rep.push(r);
         }
 
-        let collect_any = monitors.is_some();
+        let collect_any = !monitors.is_empty();
         while self.llc_loads.len() < nl {
             self.llc_loads.push(Vec::new());
         }
@@ -748,9 +637,9 @@ impl TimingEngine {
         for k in 0..nl {
             self.lanes[k].collect = false;
         }
-        for k in 0..nl {
-            if self.lane_buf[k].monitor {
-                self.lanes[self.rep[k]].collect = true;
+        for (spec, &r) in specs.iter().zip(&self.rep) {
+            if spec.monitor {
+                self.lanes[r].collect = true;
             }
         }
         if collect_any {
@@ -764,7 +653,6 @@ impl TimingEngine {
                 }
             }
         }
-        let specs = &self.lane_buf;
         let min_ways = specs[0].ways;
         let lat_l1 = cfg.lat_l1;
         let lat_l2 = cfg.lat_l2;
@@ -823,6 +711,9 @@ impl TimingEngine {
         // lane-major region for the leftover tail representative.
         let tail_cbase = ngroups * rows * GW;
         let tail_ibase = ngroups * irows * GW;
+        // Detached from `self` for the run so the lane loops can borrow
+        // the rest of the engine alongside it; restored after the walk.
+        let mut rings = std::mem::take(C::rings(self));
         if SCALAR {
             rings.complete.resize(rows * nl, C::ZERO);
             rings.retire.resize(rows * nl, C::ZERO);
@@ -1376,6 +1267,7 @@ impl TimingEngine {
                 lane.c_dram += stall[CLS_DRAM as usize];
             }
         }
+        *C::rings(self) = rings;
 
         // Write each group's end state back to its representative lanes
         // and commit the DRAM horizons (pads — positions past `len` — die
@@ -1433,21 +1325,13 @@ impl TimingEngine {
         // Feed the MLP monitors in LLC arrival order, one per monitored
         // lane, in lane order. A clone lane's stream is its
         // representative's (they are identical by construction).
-        if let Some(mons) = monitors {
-            let mut mi = 0usize;
-            for (k, spec) in specs.iter().enumerate() {
-                if !spec.monitor {
-                    continue;
-                }
-                let mon = &mut mons[mi];
-                mi += 1;
-                let lv = &mut self.llc_loads[self.rep[k]];
-                lv.sort_by_key(|&(t, idx, _)| (t, idx));
-                for &(_, idx, code) in lv.iter() {
-                    mon.on_llc_load(idx as u64, llc_stack_dist_of(code));
-                }
+        let monitored = specs.iter().enumerate().filter(|(_, s)| s.monitor);
+        for ((k, _), mon) in monitored.zip(monitors.iter_mut()) {
+            let lv = &mut self.llc_loads[self.rep[k]];
+            lv.sort_by_key(|&(t, idx, _)| (t, idx));
+            for &(_, idx, code) in lv.iter() {
+                mon.on_llc_load(idx as u64, llc_stack_dist_of(code));
             }
-            assert_eq!(mi, mons.len(), "one monitor per monitored lane");
         }
 
         self.lanes

@@ -30,12 +30,15 @@
 //! bound fits) instead of trace-length scratch, plus a **lockstep batched
 //! mode** that advances arbitrary [`engine::LaneSpec`] lanes — any mix of
 //! LLC way allocations *and* clock frequencies — in one trace pass; the
-//! phase-database build runs one 30-lane pass per core size. The
-//! [`simulate`]/[`simulate_with_monitor`] free functions are thin
-//! single-lane wrappers kept byte-identical to the original model.
+//! phase-database build runs one 30-lane pass per core size.
+//!
+//! The timing surface is two functions: [`TimingEngine::simulate_lanes`],
+//! the engine's one entry point, and the free [`simulate`], which runs one
+//! lane at `(cfg.ways, cfg.freq_hz)` on a fresh engine, optionally feeding
+//! an [`triad_cache::MlpMonitor`].
 
 pub mod engine;
 pub mod model;
 
 pub use engine::{LaneSpec, TimingEngine};
-pub use model::{simulate, simulate_with_monitor, TimingConfig, TimingResult};
+pub use model::{simulate, TimingConfig, TimingResult};

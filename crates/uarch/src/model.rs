@@ -88,34 +88,32 @@ impl TimingResult {
     }
 }
 
-/// Simulate `trace` (classified as `ct`) under `cfg`.
+/// Simulate `trace` (classified as `ct`) under `cfg` as one lane at
+/// `(cfg.ways, cfg.freq_hz)` on a fresh [`crate::TimingEngine`].
 ///
 /// `trace` must be the *detailed* portion matching `ct` (i.e. generated with
-/// the same warmup split passed to `classify_warm`).
+/// the same warmup split passed to `classify_warm`). With a `monitor`,
+/// every LLC **load** (in LLC arrival order, with its program-order
+/// instruction index and ATD stack distance) is also fed into the proposed
+/// MLP monitor — emulating the Fig. 4 hardware attached to a core running
+/// at this configuration.
 ///
-/// Thin wrapper over a fresh single-lane [`crate::TimingEngine`]; callers
-/// that simulate many intervals or allocations should hold an engine and
-/// reuse its scratch (or batch allocations with
-/// [`crate::TimingEngine::simulate_ways`]).
+/// Callers that simulate many intervals, allocations or frequencies should
+/// hold an engine and batch them through
+/// [`crate::TimingEngine::simulate_lanes`], which reuses its scratch and
+/// walks the trace once for all lanes.
 pub fn simulate(
     trace: &[triad_trace::Inst],
     ct: &ClassifiedTrace,
     cfg: &TimingConfig,
+    monitor: Option<&mut MlpMonitor>,
 ) -> TimingResult {
-    crate::TimingEngine::new().simulate(trace, ct, cfg)
-}
-
-/// [`simulate`], additionally feeding every LLC **load** (in LLC arrival
-/// order, with its program-order instruction index and ATD stack distance)
-/// into the proposed MLP monitor — emulating the Fig. 4 hardware attached
-/// to a core running at this configuration.
-pub fn simulate_with_monitor(
-    trace: &[triad_trace::Inst],
-    ct: &ClassifiedTrace,
-    cfg: &TimingConfig,
-    monitor: &mut MlpMonitor,
-) -> TimingResult {
-    crate::TimingEngine::new().simulate_with_monitor(trace, ct, cfg, monitor)
+    let spec = crate::LaneSpec { ways: cfg.ways, freq_hz: cfg.freq_hz, monitor: monitor.is_some() };
+    let monitors = match monitor {
+        Some(m) => std::slice::from_mut(m),
+        None => &mut [],
+    };
+    crate::TimingEngine::new().simulate_lanes(trace, ct, cfg, &[spec], monitors)[0]
 }
 
 #[cfg(test)]
@@ -131,7 +129,7 @@ mod tests {
 
     fn run(trace: &Trace, core: CoreSize, freq: f64, ways: usize) -> TimingResult {
         let ct = classify(trace, &geom());
-        simulate(&trace.insts, &ct, &TimingConfig::table1(core, freq, ways))
+        simulate(&trace.insts, &ct, &TimingConfig::table1(core, freq, ways), None)
     }
 
     fn compute_spec(dep_mean: f64) -> PhaseSpec {
@@ -296,7 +294,7 @@ mod tests {
         let ct = classify(&t, &geom());
         let mut prev = f64::INFINITY;
         for w in [2usize, 4, 8, 12, 16] {
-            let r = simulate(&t.insts, &ct, &TimingConfig::table1(CoreSize::M, 2.0e9, w));
+            let r = simulate(&t.insts, &ct, &TimingConfig::table1(CoreSize::M, 2.0e9, w), None);
             assert!(r.time_s <= prev * 1.001, "w={w}: {} vs {}", r.time_s, prev);
             prev = r.time_s;
         }
@@ -400,12 +398,8 @@ mod tests {
         let t = spec.generate(10_000, 10);
         let ct = classify(&t, &geom());
         let mut mon = MlpMonitor::table1();
-        let r = simulate_with_monitor(
-            &t.insts,
-            &ct,
-            &TimingConfig::table1(CoreSize::M, 2.0e9, 8),
-            &mut mon,
-        );
+        let r =
+            simulate(&t.insts, &ct, &TimingConfig::table1(CoreSize::M, 2.0e9, 8), Some(&mut mon));
         // Every DRAM load is also an ATD-predicted miss at w=8 here (the
         // region never hits), so the monitor's miss count matches.
         assert_eq!(mon.miss_count(CoreSize::M, 8), r.dram_loads);
@@ -419,7 +413,7 @@ mod tests {
     fn empty_trace_is_a_noop() {
         let t = Trace::default();
         let ct = classify(&t, &geom());
-        let r = simulate(&t.insts, &ct, &TimingConfig::table1(CoreSize::M, 2.0e9, 8));
+        let r = simulate(&t.insts, &ct, &TimingConfig::table1(CoreSize::M, 2.0e9, 8), None);
         assert_eq!(r.insts, 0);
         assert_eq!(r.cycles, 0);
     }

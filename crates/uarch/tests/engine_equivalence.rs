@@ -1,12 +1,15 @@
-//! Engine-equivalence property tests: the lockstep batched path must be
-//! **bit-identical** to the legacy single-configuration path for every
-//! lane — over randomized phases, all core sizes, both database fit
-//! frequencies, with and without the MLP monitor attached.
+//! Engine-equivalence property tests: a multi-lane
+//! [`TimingEngine::simulate_lanes`] pass must be **bit-identical** to the
+//! single-lane [`simulate`] helper for every lane — over randomized phases,
+//! all core sizes, both database fit frequencies, with and without the MLP
+//! monitor attached — plus the contract asserts of that entry point.
+
+use std::ops::RangeInclusive;
 
 use triad_arch::{CacheGeometry, CoreSize};
-use triad_cache::{classify_warm, MlpMonitor};
-use triad_trace::{AccessPattern, MemRegion, PhaseSpec};
-use triad_uarch::{simulate, simulate_with_monitor, LaneSpec, TimingConfig, TimingEngine};
+use triad_cache::{classify_warm, ClassifiedTrace, MlpMonitor};
+use triad_trace::{AccessPattern, Inst, MemRegion, PhaseSpec};
+use triad_uarch::{simulate, LaneSpec, TimingConfig, TimingEngine, TimingResult};
 use triad_util::rand::rngs::StdRng;
 use triad_util::rand::{RngExt, SeedableRng};
 
@@ -15,16 +18,34 @@ const W_MAX: usize = 16;
 
 /// Bitwise equality of two results (f64s compared by bit pattern, so this
 /// is stricter than `PartialEq` — byte-identical artifacts require it).
-fn assert_bits_eq(a: &triad_uarch::TimingResult, b: &triad_uarch::TimingResult, ctx: &str) {
-    let ints = |r: &triad_uarch::TimingResult| {
-        (r.insts, r.cycles, r.dram_loads, r.dram_stores, r.true_leading_misses)
-    };
-    let floats = |r: &triad_uarch::TimingResult| {
+fn assert_bits_eq(a: &TimingResult, b: &TimingResult, ctx: &str) {
+    let ints =
+        |r: &TimingResult| (r.insts, r.cycles, r.dram_loads, r.dram_stores, r.true_leading_misses);
+    let floats = |r: &TimingResult| {
         [r.time_s, r.t0_s, r.t_branch_s, r.t_cache_s, r.tmem_s, r.mlp, r.ipc, r.util]
             .map(f64::to_bits)
     };
     assert_eq!(ints(a), ints(b), "{ctx}: counter mismatch");
     assert_eq!(floats(a), floats(b), "{ctx}: float bit-pattern mismatch");
+}
+
+/// One lane per allocation in `ways`, all at `freq_hz`.
+fn way_lanes(ways: RangeInclusive<usize>, freq_hz: f64, monitor: bool) -> Vec<LaneSpec> {
+    ways.map(|w| LaneSpec { ways: w, freq_hz, monitor }).collect()
+}
+
+/// An unmonitored `ways` sweep at the Table I latencies for `(core, freq)`
+/// in one lockstep pass.
+fn sweep(
+    engine: &mut TimingEngine,
+    trace: &[Inst],
+    ct: &ClassifiedTrace,
+    core: CoreSize,
+    freq: f64,
+    ways: RangeInclusive<usize>,
+) -> Vec<TimingResult> {
+    let cfg = TimingConfig::table1(core, freq, *ways.start());
+    engine.simulate_lanes(trace, ct, &cfg, &way_lanes(ways, freq, false), &mut [])
 }
 
 fn random_spec(rng: &mut StdRng) -> (PhaseSpec, u64) {
@@ -54,7 +75,7 @@ fn random_spec(rng: &mut StdRng) -> (PhaseSpec, u64) {
     (spec, rng.random::<u64>())
 }
 
-/// Batched lockstep vs legacy per-configuration calls, no monitor: every
+/// Batched lockstep vs single-lane calls, no monitor: every
 /// lane's `TimingResult` is bit-identical, across randomized phases, all
 /// core sizes and both fit frequencies.
 #[test]
@@ -69,10 +90,10 @@ fn batched_matches_legacy_single_config() {
         let detailed = &t.insts[4_000..];
         for c in CoreSize::ALL {
             for freq in [1.0e9, 3.25e9] {
-                let batched = engine.simulate_ways(detailed, &ct, c, freq, W_MIN..=W_MAX);
+                let batched = sweep(&mut engine, detailed, &ct, c, freq, W_MIN..=W_MAX);
                 assert_eq!(batched.len(), W_MAX - W_MIN + 1);
                 for (k, w) in (W_MIN..=W_MAX).enumerate() {
-                    let legacy = simulate(detailed, &ct, &TimingConfig::table1(c, freq, w));
+                    let legacy = simulate(detailed, &ct, &TimingConfig::table1(c, freq, w), None);
                     assert_bits_eq(
                         &batched[k],
                         &legacy,
@@ -85,7 +106,7 @@ fn batched_matches_legacy_single_config() {
 }
 
 /// With monitors attached: lane `k`'s monitor must end in exactly the
-/// state a standalone `simulate_with_monitor` at that allocation leaves —
+/// state a standalone monitored `simulate` at that allocation leaves —
 /// compared over every (core size, way) counter the monitor tracks.
 #[test]
 fn batched_monitors_match_legacy_monitors() {
@@ -100,15 +121,15 @@ fn batched_monitors_match_legacy_monitors() {
         for c in CoreSize::ALL {
             let mut mons: Vec<MlpMonitor> = (W_MIN..=W_MAX).map(|_| MlpMonitor::table1()).collect();
             let cfg = TimingConfig::table1(c, 1.0e9, W_MIN);
-            let batched =
-                engine.simulate_ways_with_monitors(detailed, &ct, &cfg, W_MIN..=W_MAX, &mut mons);
+            let lanes = way_lanes(W_MIN..=W_MAX, 1.0e9, true);
+            let batched = engine.simulate_lanes(detailed, &ct, &cfg, &lanes, &mut mons);
             for (k, w) in (W_MIN..=W_MAX).enumerate() {
                 let mut legacy_mon = MlpMonitor::table1();
-                let legacy = simulate_with_monitor(
+                let legacy = simulate(
                     detailed,
                     &ct,
                     &TimingConfig::table1(c, 1.0e9, w),
-                    &mut legacy_mon,
+                    Some(&mut legacy_mon),
                 );
                 assert_bits_eq(&batched[k], &legacy, &format!("trial {trial} {c} w={w}"));
                 for tc in CoreSize::ALL {
@@ -158,14 +179,10 @@ fn fused_mixed_frequency_lanes_match_two_pass() {
 
             let mut tp_mons: Vec<MlpMonitor> =
                 (W_MIN..=W_MAX).map(|_| MlpMonitor::table1()).collect();
-            let pass_lo = two_pass_engine.simulate_ways_with_monitors(
-                detailed,
-                &ct,
-                &cfg,
-                W_MIN..=W_MAX,
-                &mut tp_mons,
-            );
-            let pass_hi = two_pass_engine.simulate_ways(detailed, &ct, c, hi, W_MIN..=W_MAX);
+            let lo_lanes = way_lanes(W_MIN..=W_MAX, lo, true);
+            let pass_lo =
+                two_pass_engine.simulate_lanes(detailed, &ct, &cfg, &lo_lanes, &mut tp_mons);
+            let pass_hi = sweep(&mut two_pass_engine, detailed, &ct, c, hi, W_MIN..=W_MAX);
 
             for (k, w) in (W_MIN..=W_MAX).enumerate() {
                 let ctx = format!("trial {trial} {c} w={w}");
@@ -210,10 +227,10 @@ fn dedup_extremes_match_legacy() {
         let detailed = &t.insts[4_000..];
         for c in [CoreSize::S, CoreSize::L] {
             for freq in [1.0e9, 3.25e9] {
-                let batched = engine.simulate_ways(detailed, &ct, c, freq, W_MIN..=W_MAX);
-                let brute = undeduped.simulate_ways(detailed, &ct, c, freq, W_MIN..=W_MAX);
+                let batched = sweep(&mut engine, detailed, &ct, c, freq, W_MIN..=W_MAX);
+                let brute = sweep(&mut undeduped, detailed, &ct, c, freq, W_MIN..=W_MAX);
                 for (k, w) in (W_MIN..=W_MAX).enumerate() {
-                    let legacy = simulate(detailed, &ct, &TimingConfig::table1(c, freq, w));
+                    let legacy = simulate(detailed, &ct, &TimingConfig::table1(c, freq, w), None);
                     assert_bits_eq(
                         &batched[k],
                         &legacy,
@@ -313,8 +330,8 @@ fn wide_cells_match_narrow_cells() {
     wide.force_wide_cycles(true);
     for c in CoreSize::ALL {
         for freq in [1.0e9, 3.25e9] {
-            let a = narrow.simulate_ways(detailed, &ct, c, freq, W_MIN..=W_MAX);
-            let b = wide.simulate_ways(detailed, &ct, c, freq, W_MIN..=W_MAX);
+            let a = sweep(&mut narrow, detailed, &ct, c, freq, W_MIN..=W_MAX);
+            let b = sweep(&mut wide, detailed, &ct, c, freq, W_MIN..=W_MAX);
             for (x, y) in a.iter().zip(&b) {
                 assert_bits_eq(x, y, &format!("{c} f={freq:.2e} narrow-vs-wide"));
             }
@@ -340,17 +357,46 @@ fn engine_reuse_is_stateless_across_calls() {
 
     let mut shared = TimingEngine::new();
     // Big core first so later smaller-ROB calls run inside stale scratch.
-    let first = shared.simulate_ways(da, &cta, CoreSize::L, 3.25e9, W_MIN..=W_MAX);
-    let b_scalar = shared.simulate(db, &ctb, &TimingConfig::table1(CoreSize::S, 2.0e9, 5));
-    let again = shared.simulate_ways(da, &cta, CoreSize::L, 3.25e9, W_MIN..=W_MAX);
+    let first = sweep(&mut shared, da, &cta, CoreSize::L, 3.25e9, W_MIN..=W_MAX);
+    let b_scalar = sweep(&mut shared, db, &ctb, CoreSize::S, 2.0e9, 5..=5)[0];
+    let again = sweep(&mut shared, da, &cta, CoreSize::L, 3.25e9, W_MIN..=W_MAX);
     for (x, y) in first.iter().zip(&again) {
         assert_bits_eq(x, y, "repeat batched call");
     }
-    let fresh = simulate(db, &ctb, &TimingConfig::table1(CoreSize::S, 2.0e9, 5));
+    let fresh = simulate(db, &ctb, &TimingConfig::table1(CoreSize::S, 2.0e9, 5), None);
     assert_bits_eq(&b_scalar, &fresh, "scalar after batched");
     // Partial way ranges agree with the full sweep's matching lanes.
-    let sub = shared.simulate_ways(da, &cta, CoreSize::L, 3.25e9, 6..=9);
+    let sub = sweep(&mut shared, da, &cta, CoreSize::L, 3.25e9, 6..=9);
     for (k, w) in (6..=9).enumerate() {
         assert_bits_eq(&sub[k], &first[w - W_MIN], "partial range lane");
     }
+}
+
+/// The entry point's lane-plan contract: `monitors` must hold exactly one
+/// monitor per `monitor == true` lane.
+#[test]
+#[should_panic(expected = "one monitor per monitored lane")]
+fn monitor_count_must_match_monitored_lanes() {
+    let geom = CacheGeometry::table1_scaled(4, 16);
+    let (spec, seed) = random_spec(&mut StdRng::seed_from_u64(0xC0_47));
+    let t = spec.generate(2_000, seed);
+    let ct = classify_warm(&t, &geom, 1_000);
+    let cfg = TimingConfig::table1(CoreSize::M, 2.0e9, W_MIN);
+    let lanes = way_lanes(W_MIN..=4, 2.0e9, true);
+    let mut mons: Vec<MlpMonitor> = (1..lanes.len()).map(|_| MlpMonitor::table1()).collect();
+    TimingEngine::new().simulate_lanes(&t.insts[1_000..], &ct, &cfg, &lanes, &mut mons);
+}
+
+/// The entry point's lane-plan contract: lanes ascend in allocation, which
+/// the shared prefix-split decode relies on.
+#[test]
+#[should_panic(expected = "lane ways must be non-decreasing")]
+fn lane_ways_must_be_non_decreasing() {
+    let geom = CacheGeometry::table1_scaled(4, 16);
+    let (spec, seed) = random_spec(&mut StdRng::seed_from_u64(0xC0_48));
+    let t = spec.generate(2_000, seed);
+    let ct = classify_warm(&t, &geom, 1_000);
+    let cfg = TimingConfig::table1(CoreSize::M, 2.0e9, W_MIN);
+    let lanes = [LaneSpec::new(8, 2.0e9), LaneSpec::new(4, 2.0e9)];
+    TimingEngine::new().simulate_lanes(&t.insts[1_000..], &ct, &cfg, &lanes, &mut []);
 }

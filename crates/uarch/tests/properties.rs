@@ -50,7 +50,7 @@ fn timing_model_invariants() {
 
         let mut prev_core_time = f64::INFINITY;
         for c in CoreSize::ALL {
-            let r = simulate(&t.insts, &ct, &TimingConfig::table1(c, 2.0e9, 8));
+            let r = simulate(&t.insts, &ct, &TimingConfig::table1(c, 2.0e9, 8), None);
             assert!(r.ipc <= c.dispatch_width() as f64 + 1e-9, "trial {trial} {c}");
             let sum = r.t0_s + r.t_branch_s + r.t_cache_s + r.tmem_s;
             assert!((sum - r.time_s).abs() < 1e-12, "trial {trial} {c}");
@@ -63,13 +63,13 @@ fn timing_model_invariants() {
 
         let mut prev_way_time = f64::INFINITY;
         for w in [2usize, 6, 10, 16] {
-            let r = simulate(&t.insts, &ct, &TimingConfig::table1(CoreSize::M, 2.0e9, w));
+            let r = simulate(&t.insts, &ct, &TimingConfig::table1(CoreSize::M, 2.0e9, w), None);
             assert!(r.time_s <= prev_way_time * 1.001, "trial {trial} w={w}");
             prev_way_time = r.time_s;
         }
 
-        let lo = simulate(&t.insts, &ct, &TimingConfig::table1(CoreSize::M, 1.0e9, 8));
-        let hi = simulate(&t.insts, &ct, &TimingConfig::table1(CoreSize::M, 3.25e9, 8));
+        let lo = simulate(&t.insts, &ct, &TimingConfig::table1(CoreSize::M, 1.0e9, 8), None);
+        let hi = simulate(&t.insts, &ct, &TimingConfig::table1(CoreSize::M, 3.25e9, 8), None);
         assert!(hi.time_s <= lo.time_s, "trial {trial}");
         // And frequency cannot speed memory up more than 3.25x overall.
         assert!(lo.time_s / hi.time_s <= 3.25 + 1e-9, "trial {trial}");

@@ -7,7 +7,7 @@
 use triad::arch::{CacheGeometry, CoreSize};
 use triad::cache::{atd::COLD, classify_warm, MlpMonitor};
 use triad::trace::{MemRegion, PhaseSpec};
-use triad::uarch::{simulate_with_monitor, TimingConfig};
+use triad::uarch::{simulate, TimingConfig};
 
 fn main() {
     // Fig. 4's worked example: four loads, all missing allocation w.
@@ -47,11 +47,11 @@ fn main() {
     println!("\nstreaming phase — estimated vs true MLP at 8 ways:");
     for c in CoreSize::ALL {
         let mut mon = MlpMonitor::table1();
-        let r = simulate_with_monitor(
+        let r = simulate(
             &trace.insts[100_000..],
             &ct,
             &TimingConfig::table1(c, 2.0e9, 8),
-            &mut mon,
+            Some(&mut mon),
         );
         println!("  {c}: monitor estimate {:.2}, ground truth {:.2}", mon.mlp(c, 8), r.mlp);
     }

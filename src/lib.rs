@@ -12,7 +12,6 @@
 //!
 //! * [`arch`] — Table I architecture description;
 //! * [`trace`] — the 27 synthetic SPEC CPU2006 stand-ins;
-//! * [`simpoint`] — BBV k-means phase analysis;
 //! * [`cache`] — LRU caches, the ATD, and the leading-miss MLP monitor
 //!   (the paper's hardware contribution, Fig. 4);
 //! * [`mem`] — the DRAM latency/bandwidth/contention model;
@@ -64,7 +63,6 @@ pub use triad_mem as mem;
 pub use triad_phasedb as phasedb;
 pub use triad_rm as rm;
 pub use triad_sim as sim;
-pub use triad_simpoint as simpoint;
 pub use triad_trace as trace;
 pub use triad_uarch as uarch;
 pub use triad_workload as workload;
