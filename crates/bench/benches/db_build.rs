@@ -91,7 +91,7 @@ fn main() {
     let mut fused_total = 0.0f64;
     let mut two_pass_total = 0.0f64;
     for name in ["mcf", "libquantum", "povray"] {
-        let app = triad_trace::suite().into_iter().find(|a| a.name == name).unwrap();
+        let app = triad_trace::by_name(name).unwrap();
         let spec = app.phases[0].clone();
 
         // (1) The real build_phase, end to end.

@@ -17,7 +17,7 @@ use triad_util::bench::bench;
 
 fn subset() -> Vec<AppSpec> {
     let names = ["mcf", "libquantum", "povray"];
-    triad_trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect()
+    triad_trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect()
 }
 
 fn main() {
@@ -60,11 +60,11 @@ fn main() {
     let suite = triad_trace::suite();
     let cfg = DbConfig::default_config();
     let t0 = Instant::now();
-    black_box(cold_store.resolve(&suite, &cfg));
+    black_box(cold_store.resolve(suite, &cfg));
     let cold_s = t0.elapsed().as_secs_f64();
     println!("db_store/cold_build_suite                {cold_s:>12.3} s/iter");
     let m = bench("db_store/warm_load_suite", None, Duration::from_secs(2), || {
-        black_box(store.resolve(&suite, &cfg));
+        black_box(store.resolve(suite, &cfg));
     });
     let speedup = cold_s / m.secs_per_iter;
     println!("db_store/warm_vs_cold_speedup_suite      {speedup:>12.1}x");

@@ -59,7 +59,7 @@ fn main() {
     let mut worst_ratio = f64::INFINITY;
     let mut engine = TimingEngine::new();
     for name in ["mcf", "povray"] {
-        let app = triad_trace::suite().into_iter().find(|a| a.name == name).unwrap();
+        let app = triad_trace::by_name(name).unwrap();
         let phase = app.phases[0].scaled(cfg.scale as u64);
         let trace = phase.generate(cfg.warmup + cfg.detail, cfg.seed);
         let ct = classify_warm(&trace, &geom, cfg.warmup);

@@ -39,7 +39,7 @@ fn main() {
 
     let mut worst_fused = 0.0f64;
     for name in ["mcf", "povray"] {
-        let app = triad_trace::suite().into_iter().find(|a| a.name == name).unwrap();
+        let app = triad_trace::by_name(name).unwrap();
         let spec = app.phases[0].scaled(cfg.scale as u64);
 
         let g = bench(&format!("trace_front/generate_{name}"), Some(len as u64), budget, || {

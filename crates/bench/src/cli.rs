@@ -7,8 +7,7 @@
 //! ```
 //!
 //! Adding a scenario is a spec, not a binary: `custom` assembles an
-//! [`ExperimentSpec`] straight from the flags. The per-figure binaries are
-//! kept as wrappers that pre-select `--experiment` and forward the rest.
+//! [`ExperimentSpec`] straight from the flags.
 
 use crate::reports::{self, RunOptions};
 use crate::resolve_db;

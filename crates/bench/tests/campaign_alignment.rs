@@ -15,7 +15,7 @@ use triad_util::failpoint::{self, FaultKind, Trigger};
 fn small_db() -> PhaseDb {
     let names = ["mcf", "povray"];
     let apps: Vec<_> =
-        triad_trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect();
+        triad_trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
     DbStore::default_cache().resolve(&apps, &DbConfig::fast()).db
 }
 

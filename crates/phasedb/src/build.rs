@@ -67,7 +67,7 @@ impl Default for DbConfig {
 
 /// Build the database for the full 27-application suite.
 pub fn build_suite(cfg: &DbConfig) -> PhaseDb {
-    build_apps(&triad_trace::suite(), cfg)
+    build_apps(triad_trace::suite(), cfg)
 }
 
 /// Build the database for an arbitrary set of applications.
@@ -308,8 +308,9 @@ mod tests {
 
     fn small_db() -> PhaseDb {
         let apps: Vec<AppSpec> = triad_trace::suite()
-            .into_iter()
+            .iter()
             .filter(|a| ["mcf", "libquantum", "povray"].contains(&a.name))
+            .cloned()
             .collect();
         build_apps(&apps, &DbConfig::fast())
     }
@@ -419,7 +420,7 @@ mod tests {
     #[test]
     fn build_is_deterministic_across_thread_counts() {
         let apps: Vec<AppSpec> =
-            triad_trace::suite().into_iter().filter(|a| a.name == "gcc").collect();
+            triad_trace::suite().iter().filter(|a| a.name == "gcc").cloned().collect();
         let mut c1 = DbConfig::fast();
         c1.threads = 1;
         let mut c2 = DbConfig::fast();

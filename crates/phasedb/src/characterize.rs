@@ -75,7 +75,7 @@ mod tests {
     #[test]
     fn archetypes_classify_correctly() {
         let names = ["mcf", "xalancbmk", "libquantum", "povray"];
-        let apps: Vec<_> = suite().into_iter().filter(|a| names.contains(&a.name)).collect();
+        let apps: Vec<_> = suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
         let db = build_apps(&apps, &DbConfig::fast());
         for e in &db.apps {
             let c = characterize_app(e);

@@ -107,7 +107,11 @@ mod tests {
     use super::*;
 
     fn fixture_apps() -> Vec<AppSpec> {
-        triad_trace::suite().into_iter().filter(|a| ["mcf", "povray"].contains(&a.name)).collect()
+        triad_trace::suite()
+            .iter()
+            .filter(|a| ["mcf", "povray"].contains(&a.name))
+            .cloned()
+            .collect()
     }
 
     #[test]

@@ -226,7 +226,7 @@ mod tests {
 
     fn tiny_db() -> (Vec<AppSpec>, PhaseDb) {
         let apps: Vec<AppSpec> =
-            triad_trace::suite().into_iter().filter(|a| a.name == "povray").collect();
+            triad_trace::suite().iter().filter(|a| a.name == "povray").cloned().collect();
         let db = build_apps(&apps, &DbConfig::fast());
         (apps, db)
     }
@@ -300,7 +300,7 @@ mod tests {
 
         // App-name mismatch.
         let other: Vec<AppSpec> =
-            triad_trace::suite().into_iter().filter(|a| a.name == "mcf").collect();
+            triad_trace::suite().iter().filter(|a| a.name == "mcf").cloned().collect();
         assert!(db_from_json(&db_to_json(&db, "fp", &cfg), &other).is_err());
     }
 }

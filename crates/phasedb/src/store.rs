@@ -181,7 +181,7 @@ impl DbStore {
 
     /// Resolve the full 27-application suite database.
     pub fn resolve_suite(&self, cfg: &DbConfig) -> Resolved {
-        self.resolve(&triad_trace::suite(), cfg)
+        self.resolve(triad_trace::suite(), cfg)
     }
 
     /// Atomically write the artifact through [`atomic_write`] (writer-unique
@@ -241,7 +241,7 @@ mod tests {
     use super::*;
 
     fn test_apps() -> Vec<AppSpec> {
-        triad_trace::suite().into_iter().filter(|a| a.name == "libquantum").collect()
+        triad_trace::suite().iter().filter(|a| a.name == "libquantum").cloned().collect()
     }
 
     fn temp_store(tag: &str) -> DbStore {

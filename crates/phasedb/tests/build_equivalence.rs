@@ -127,7 +127,7 @@ fn assert_records_bits_eq(a: &PhaseRecord, b: &PhaseRecord, ctx: &str) {
 fn build_phase_matches_legacy_grid_bit_exactly() {
     let cfg = DbConfig::fast();
     for name in ["mcf", "libquantum", "povray"] {
-        let app = triad_trace::suite().into_iter().find(|a| a.name == name).unwrap();
+        let app = triad_trace::by_name(name).unwrap();
         let spec = &app.phases[0];
         let batched = build_phase(spec, &cfg);
         let legacy = legacy_build_phase(spec, &cfg);

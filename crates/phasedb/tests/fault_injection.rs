@@ -20,7 +20,7 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
 }
 
 fn test_apps() -> Vec<AppSpec> {
-    triad_trace::suite().into_iter().filter(|a| a.name == "libquantum").collect()
+    triad_trace::suite().iter().filter(|a| a.name == "libquantum").cloned().collect()
 }
 
 fn temp_store(tag: &str) -> DbStore {

@@ -248,9 +248,11 @@ impl ExperimentSpec {
         self.to_json_with_fingerprint(&self.workload_fingerprint())
     }
 
-    /// [`ExperimentSpec::to_json`] against an already-materialized trace
-    /// fingerprint, so key computation and report serialization do not
-    /// re-materialize the workload.
+    /// [`ExperimentSpec::to_json`] against an already-computed trace
+    /// fingerprint, so resume-key computation does not re-materialize the
+    /// workload. Report serialization (`CampaignRow::to_json`,
+    /// `QuarantinedRow::to_json`) goes through [`ExperimentSpec::to_json`]
+    /// and does materialize it again.
     fn to_json_with_fingerprint(&self, workload_fp: &str) -> Json {
         Json::obj()
             .set("name", self.name.clone())
@@ -654,9 +656,10 @@ impl Campaign {
             built.clone().expect("quarantined before simulation")
         };
 
-        // Materialize every spec's trace exactly once and decide each
-        // spec's fate: run it, serve it from the journal, or quarantine it.
-        let mut traces: Vec<Option<WorkloadTrace>> = Vec::with_capacity(self.specs.len());
+        // Materialize and fingerprint every spec's trace exactly once and
+        // decide each spec's fate: run it, serve it from the journal, or
+        // quarantine it. Run specs keep their trace with its fingerprint.
+        let mut traces: Vec<Option<(WorkloadTrace, String)>> = Vec::with_capacity(self.specs.len());
         let mut preps: Vec<Prep> = Vec::with_capacity(self.specs.len());
         for spec in &self.specs {
             let trace = {
@@ -677,14 +680,15 @@ impl Campaign {
             let backend =
                 &backends.iter().find(|(c, _)| c == &spec.energy).expect("pre-built above").1;
             if let Err(reason) = backend {
-                traces.push(Some(trace));
+                traces.push(None);
                 preps.push(Prep::Quarantined(CampaignError::EnergyBackend {
                     label: spec.energy.label(),
                     reason: reason.clone(),
                 }));
                 continue;
             }
-            let key = resume_key(spec, &trace.fingerprint());
+            let fingerprint = trace.fingerprint();
+            let key = resume_key(spec, &fingerprint);
             let prep = match journal.and_then(|(_, rows)| rows.get(&key)) {
                 Some(row_json) => match CampaignRow::from_json(spec.clone(), row_json) {
                     Some(row) => Prep::Resumed(Box::new(row)),
@@ -697,7 +701,7 @@ impl Campaign {
                 },
                 None => Prep::Run { key },
             };
-            traces.push(Some(trace));
+            traces.push(Some((trace, fingerprint)));
             preps.push(prep);
         }
 
@@ -710,9 +714,9 @@ impl Campaign {
         let mut keyed: Vec<(BaselineKey, &WorkloadTrace)> = Vec::new();
         for (i, prep) in preps.iter().enumerate() {
             if let Prep::Run { .. } = prep {
-                let trace = traces[i].as_ref().expect("run specs keep their trace");
+                let (trace, fingerprint) = traces[i].as_ref().expect("run specs keep their trace");
                 let spec = &self.specs[i];
-                let key = (trace.fingerprint(), spec.target_intervals, spec.energy.clone());
+                let key = (fingerprint.clone(), spec.target_intervals, spec.energy.clone());
                 if !keyed.iter().any(|(k, _)| *k == key) {
                     keyed.push((key, trace));
                 }
@@ -749,8 +753,8 @@ impl Campaign {
                     RowOutcome::Row((**row).clone())
                 }
                 Prep::Run { key } => {
-                    let trace = traces[i].as_ref().expect("run specs keep their trace");
-                    self.run_row(db, spec, trace, &baselines, &backend_for, key, journal)
+                    let traced = traces[i].as_ref().expect("run specs keep their trace");
+                    self.run_row(db, spec, traced, &baselines, &backend_for, key, journal)
                 }
             };
             if self.progress {
@@ -792,13 +796,13 @@ impl Campaign {
         &self,
         db: &PhaseDb,
         spec: &ExperimentSpec,
-        trace: &WorkloadTrace,
+        (trace, fingerprint): &(WorkloadTrace, String),
         baselines: &HashMap<&BaselineKey, &Result<SimResult, String>>,
         backend_for: &(dyn Fn(&EnergyBackendConfig) -> Arc<dyn EnergyBackend> + Sync),
         key: &str,
         journal: Option<(&RowJournal, &HashMap<String, Json>)>,
     ) -> RowOutcome {
-        let bkey = (trace.fingerprint(), spec.target_intervals, spec.energy.clone());
+        let bkey = (fingerprint.clone(), spec.target_intervals, spec.energy.clone());
         let idle = match baselines[&bkey] {
             Ok(idle) => idle,
             Err(message) => {
@@ -871,8 +875,9 @@ impl Campaign {
     /// order — the exact database the campaign needs.
     pub fn required_apps(&self) -> Vec<AppSpec> {
         triad_trace::suite()
-            .into_iter()
+            .iter()
             .filter(|a| self.specs.iter().any(|s| s.apps.iter().any(|n| n == a.name)))
+            .cloned()
             .collect()
     }
 
@@ -941,7 +946,7 @@ mod tests {
     fn small_db() -> PhaseDb {
         let names = ["mcf", "libquantum", "povray", "gcc"];
         let apps: Vec<_> =
-            triad_trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect();
+            triad_trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
         DbStore::default_cache().resolve(&apps, &DbConfig::fast()).db
     }
 

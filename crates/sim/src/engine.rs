@@ -758,7 +758,7 @@ mod tests {
     fn small_db() -> PhaseDb {
         let names = ["mcf", "libquantum", "povray", "gcc", "lbm"];
         let apps: Vec<_> =
-            triad_trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect();
+            triad_trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
         build_apps(&apps, &DbConfig::fast())
     }
 

@@ -245,7 +245,7 @@ mod tests {
             "gamess",
         ];
         let apps: Vec<_> =
-            triad_trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect();
+            triad_trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
         DbStore::default_cache().resolve(&apps, &DbConfig::fast()).db
     }
 

@@ -40,7 +40,7 @@ mod tests {
     #[test]
     fn perfect_model_matches_db_ground_truth() {
         let apps: Vec<_> =
-            triad_trace::suite().into_iter().filter(|a| a.name == "povray").collect();
+            triad_trace::suite().iter().filter(|a| a.name == "povray").cloned().collect();
         let db = build_apps(&apps, &DbConfig::fast());
         let rec = &db.apps[0].records[0];
         let grid = DvfsGrid::table1();

@@ -231,7 +231,7 @@ mod tests {
     fn db() -> PhaseDb {
         let names = ["mcf", "libquantum", "gcc", "povray"];
         let apps: Vec<_> =
-            triad_trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect();
+            triad_trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
         build_apps(&apps, &DbConfig::fast())
     }
 

@@ -24,7 +24,7 @@ fn locked() -> std::sync::MutexGuard<'static, ()> {
 fn small_db() -> PhaseDb {
     let names = ["mcf", "libquantum", "povray", "gcc"];
     let apps: Vec<_> =
-        triad_trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect();
+        triad_trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
     DbStore::default_cache().resolve(&apps, &DbConfig::fast()).db
 }
 

@@ -22,6 +22,8 @@
 //!   and expose core-size-dependent MLP (PS); short bursts or
 //!   **pointer-chased** misses do not (PI).
 
+use std::sync::OnceLock;
+
 use crate::phase::{MemRegion, PhaseId, PhaseSpec};
 
 /// Application category from Table II.
@@ -191,7 +193,16 @@ impl Row {
 
 /// The full 27-application suite, in Table II order (CS-PS, CS-PI, CI-PS,
 /// CI-PI). Census: 5 + 7 + 7 + 8.
-pub fn suite() -> Vec<AppSpec> {
+///
+/// The table is built once per process, on the first call, and every call
+/// borrows it. Callers that need owned specs filter first and then clone.
+pub fn suite() -> &'static [AppSpec] {
+    static SUITE: OnceLock<Vec<AppSpec>> = OnceLock::new();
+    SUITE.get_or_init(build_suite)
+}
+
+/// Builds the suite from its calibration rows; only [`suite`] calls it.
+fn build_suite() -> Vec<AppSpec> {
     use Category::*;
     use MemRegion as R;
     #[rustfmt::skip]
@@ -240,14 +251,14 @@ pub fn suite() -> Vec<AppSpec> {
     rows.iter().enumerate().map(|(i, r)| r.build(i)).collect()
 }
 
-/// Look up an application by name.
-pub fn by_name(name: &str) -> Option<AppSpec> {
-    suite().into_iter().find(|a| a.name == name)
+/// Look up an application by name, borrowing it from [`suite`].
+pub fn by_name(name: &str) -> Option<&'static AppSpec> {
+    suite().iter().find(|a| a.name == name)
 }
 
-/// Applications of a given category, in suite order.
-pub fn by_category(cat: Category) -> Vec<AppSpec> {
-    suite().into_iter().filter(|a| a.category == cat).collect()
+/// Applications of a given category, in suite order, borrowed from [`suite`].
+pub fn by_category(cat: Category) -> Vec<&'static AppSpec> {
+    suite().iter().filter(|a| a.category == cat).collect()
 }
 
 #[cfg(test)]
@@ -355,6 +366,39 @@ mod tests {
                 assert_eq!(app.category, c);
             }
         }
+    }
+
+    #[test]
+    fn suite_is_built_once() {
+        assert!(std::ptr::eq(suite(), suite()));
+    }
+
+    #[test]
+    fn lookups_borrow_from_the_suite() {
+        let in_suite = |app: &AppSpec| suite().iter().any(|a| std::ptr::eq(a, app));
+        assert!(in_suite(by_name("mcf").unwrap()));
+        for c in Category::ALL {
+            assert!(by_category(c).into_iter().all(in_suite), "{c}");
+        }
+    }
+
+    #[test]
+    fn racing_first_calls_see_one_suite() {
+        // Other tests in this binary may build the suite first; the barrier
+        // still lines the eight calls up as close together as it can.
+        let start = std::sync::Barrier::new(8);
+        let addrs: Vec<usize> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        suite().as_ptr() as usize
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(addrs.iter().all(|&a| a == suite().as_ptr() as usize));
     }
 
     #[test]

@@ -576,7 +576,7 @@ fn materialize_scaled(
     let census = suite();
     let mut virt: Vec<(&'static str, usize)> = Vec::with_capacity(copies * census.len());
     for _ in 0..copies {
-        for app in &census {
+        for app in census {
             virt.push((app.name, rng.random_range(0..app.n_intervals())));
         }
     }

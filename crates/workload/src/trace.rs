@@ -110,7 +110,7 @@ impl WorkloadTrace {
     /// exact database a campaign over this trace needs).
     pub fn apps(&self) -> Vec<String> {
         triad_trace::suite()
-            .into_iter()
+            .iter()
             .filter(|a| {
                 self.events.iter().any(
                     |e| matches!(&e.kind, EventKind::Arrive { app, .. } if app.as_str() == a.name),

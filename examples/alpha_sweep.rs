@@ -12,8 +12,10 @@ use triad::sim::{Campaign, ExperimentSpec};
 
 fn main() {
     let names = ["libquantum", "mcf"];
+    // The suite is built once and borrowed; the database build takes an
+    // owned subset.
     let apps: Vec<_> =
-        triad::trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect();
+        triad::trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
     println!("building database for {:?}...", names);
     let db = build_apps(&apps, &DbConfig::default());
 

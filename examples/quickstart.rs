@@ -17,8 +17,10 @@ fn main() {
     // A cache-hungry application (mcf) next to a compute-bound one
     // (povray): the canonical Scenario-1 trade.
     let names = ["mcf", "povray"];
+    // The suite is built once and borrowed; the database build takes an
+    // owned subset.
     let apps: Vec<_> =
-        triad::trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect();
+        triad::trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
     println!("resolving the phase database for {:?}...", names);
     let resolved = DbStore::default_cache().resolve(&apps, &DbConfig::default());
     println!(

@@ -38,9 +38,11 @@
 //! // resolved through the content-addressed store: built and persisted
 //! // once, then loaded from the cache (the full 27-app artifact loads in
 //! // about 25 ms against a 1.3 s build on a 2-core x86-64 Xeon).
+//! // `suite()` borrows the process-wide table; clone the subset to own it.
 //! let apps: Vec<_> = triad::trace::suite()
-//!     .into_iter()
+//!     .iter()
 //!     .filter(|a| ["mcf", "povray"].contains(&a.name))
+//!     .cloned()
 //!     .collect();
 //! let db = DbStore::default_cache().resolve(&apps, &DbConfig::default()).db;
 //!

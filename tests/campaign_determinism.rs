@@ -13,7 +13,7 @@ use triad::sim::{Campaign, ExperimentSpec};
 fn db() -> PhaseDb {
     let names = ["mcf", "libquantum", "povray", "gcc"];
     let apps: Vec<_> =
-        triad::trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect();
+        triad::trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
     build_apps(&apps, &DbConfig::fast())
 }
 

@@ -9,7 +9,7 @@ use triad::trace::AppSpec;
 
 fn apps() -> Vec<AppSpec> {
     let names = ["mcf", "povray"];
-    triad::trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect()
+    triad::trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect()
 }
 
 /// SHA-256 of the persisted fast-config {mcf, libquantum, povray} artifact,
@@ -23,7 +23,7 @@ const ARTIFACT_SHA256: &str = "4c3b392fbaad78a948b3790d305da9148092b12630f4ac968
 fn store_artifact_digest_is_unchanged() {
     let names = ["mcf", "libquantum", "povray"];
     let apps: Vec<AppSpec> =
-        triad::trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect();
+        triad::trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
     let dir = std::env::temp_dir().join(format!("triad-db-store-digest-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let resolved = DbStore::new(&dir).resolve(&apps, &DbConfig::fast());

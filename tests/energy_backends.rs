@@ -24,7 +24,7 @@ const GOLDEN: &str = include_str!("golden/campaign_default.json");
 fn db() -> PhaseDb {
     let names = ["mcf", "povray"];
     let apps: Vec<_> =
-        triad::trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect();
+        triad::trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
     build_apps(&apps, &DbConfig::fast())
 }
 
@@ -131,8 +131,11 @@ fn alternative_backends_run_end_to_end_and_change_the_rows() {
 fn phase_db_fingerprint_is_independent_of_the_energy_backend() {
     // The fingerprint is a pure function of (apps, DbConfig) — no energy
     // parameter exists in its input set...
-    let apps: Vec<_> =
-        triad::trace::suite().into_iter().filter(|a| ["mcf", "povray"].contains(&a.name)).collect();
+    let apps: Vec<_> = triad::trace::suite()
+        .iter()
+        .filter(|a| ["mcf", "povray"].contains(&a.name))
+        .cloned()
+        .collect();
     let cfg = DbConfig::fast();
     let digest = db_fingerprint(&apps, &cfg);
 

@@ -7,7 +7,7 @@ use triad::sim::engine::{SimConfig, SimModel, Simulator};
 
 fn db(names: &[&str]) -> triad::phasedb::PhaseDb {
     let apps: Vec<_> =
-        triad::trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect();
+        triad::trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
     assert_eq!(apps.len(), names.len(), "unknown application in {names:?}");
     build_apps(&apps, &DbConfig::fast())
 }

@@ -16,7 +16,7 @@ use triad_util::json::Json;
 
 fn apps() -> Vec<AppSpec> {
     let names = ["mcf", "povray"];
-    triad::trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect()
+    triad::trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect()
 }
 
 fn campaign() -> Campaign {

@@ -24,7 +24,7 @@ const GOLDEN: &str = include_str!("golden/campaign_default.json");
 fn db() -> triad::phasedb::PhaseDb {
     let names = ["mcf", "povray"];
     let apps: Vec<_> =
-        triad::trace::suite().into_iter().filter(|a| names.contains(&a.name)).collect();
+        triad::trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
     triad::phasedb::build_apps(&apps, &triad::phasedb::DbConfig::fast())
 }
 
@@ -141,7 +141,7 @@ fn workload_sweep_preset_runs_end_to_end() {
     // The sweep samples census-wide apps; resolve the full suite through
     // the shared fast-config store (built once, reused by later tests).
     let db = triad::phasedb::DbStore::default_cache()
-        .resolve(&triad::trace::suite(), &triad::phasedb::DbConfig::fast())
+        .resolve(triad::trace::suite(), &triad::phasedb::DbConfig::fast())
         .db;
     let opts = RunOptions { intervals: Some(6), ..RunOptions::default() };
     let doc = reports::workload_sweep(&db, 2, 2020, &opts);
