@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! triad-bench --experiment fig6 --cores 8 --json out.json
-//! triad-bench --experiment fig2 --compare-serial
 //! triad-bench --experiment custom --apps mcf,povray,gcc,libquantum --rm rm3 --model model2
 //! ```
 //!
@@ -36,7 +35,6 @@ OPTIONS:
         --seed <N>            workload-generation seed [default: 2020]
         --json <PATH>         write the machine-readable report to PATH
         --threads <N>         campaign worker threads (0 = all cores) [default: 0]
-        --compare-serial      also run the campaign serially and report the speedup
         --intervals <N>       override the simulated horizon (RM intervals per app)
         --fast                fast database (noisier stats) and a short horizon
         --db-cache <DIR>      phase-database cache directory
@@ -77,7 +75,6 @@ pub struct Args {
     pub seed: u64,
     pub json: Option<String>,
     pub threads: usize,
-    pub compare_serial: bool,
     pub intervals: Option<usize>,
     pub fast: bool,
     pub db_cache: Option<String>,
@@ -106,7 +103,6 @@ impl Default for Args {
             seed: 2020,
             json: None,
             threads: 0,
-            compare_serial: false,
             intervals: None,
             fast: false,
             db_cache: None,
@@ -151,7 +147,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--threads" => {
                 args.threads = value(&mut it, a)?.parse().map_err(|e| format!("--threads: {e}"))?
             }
-            "--compare-serial" => args.compare_serial = true,
             "--intervals" => {
                 args.intervals =
                     Some(value(&mut it, a)?.parse().map_err(|e| format!("--intervals: {e}"))?)
@@ -254,7 +249,6 @@ pub fn run(args: &Args) -> Result<(), String> {
     }
     let run_opts = RunOptions {
         threads: args.threads,
-        compare_serial: args.compare_serial,
         intervals: args.intervals.or(if args.fast { Some(32) } else { None }),
         energy: energy_cfg.clone(),
         progress: args.progress,

@@ -18,6 +18,9 @@
 //! | `fig9`      | Fig. 9 — RM3 savings under Model1/2/3 vs perfect |
 //! | `overheads` | §III-E — RM algorithm operation counts and runtime |
 //! | `custom`    | any ad-hoc workload/controller/model campaign spec |
+//! | `energy-sweep`   | one workload rerun across every energy backend |
+//! | `workload-sweep` | RM3 on every dynamic-workload kind per scenario |
+//! | `churn`     | per-core multiprogramming with mid-run app replacement |
 //!
 //! Simulation-backed experiments expand into [`triad_sim::Campaign`] specs
 //! and run in parallel with shared memoized idle baselines; `--json`
@@ -33,16 +36,7 @@
 pub mod cli;
 pub mod reports;
 
-use std::sync::OnceLock;
 use triad_phasedb::{DbConfig, DbStore, PhaseDb, StoreOutcome};
-
-/// Resolve (once per process) the full-suite phase database through the
-/// default content-addressed store — about a 25 ms load on a warm
-/// cache, a build + persist on a cold one.
-pub fn db() -> &'static PhaseDb {
-    static DB: OnceLock<PhaseDb> = OnceLock::new();
-    DB.get_or_init(|| resolve_db(&DbConfig::default(), &DbStore::default_cache()))
-}
 
 /// Resolve a full-suite database through `store` with an explicit
 /// configuration, reporting provenance and timing on stderr.

@@ -9,32 +9,31 @@
 //! The JSON documents are deterministic — identical bytes for the same
 //! spec/seed at any thread count, and whether the phase database was
 //! freshly built or loaded from the content-addressed store. Wall-clock
-//! measurements therefore go to stderr; only `--compare-serial`, an
-//! explicit benchmarking mode, embeds its measured `timing` numbers in
-//! the JSON.
+//! measurements therefore go to stderr, never into the JSON.
 
 use crate::pct;
+use std::sync::Arc;
 use std::time::Instant;
 use triad_arch::{
     CacheGeometry, CoreSize, DvfsGrid, SystemConfig, DVFS_TRANSITION_ENERGY_J,
     DVFS_TRANSITION_TIME_S,
 };
 use triad_cache::MlpMonitor;
-use triad_energy::{EnergyBackendConfig, EnergyModel, TableBackend};
+use triad_energy::{EnergyBackend, EnergyBackendConfig, EnergyModel, TableBackend};
 use triad_mem::DramParams;
 use triad_phasedb::{characterize_app, PhaseDb};
 use triad_rm::RmKind;
 use triad_sim::campaign::{model_label, Campaign, CampaignRow, ExperimentSpec, QuarantinedRow};
 use triad_sim::experiments::{
-    averages, comparison_specs, default_model_for, fig2_workloads, fig9_specs, fold_comparisons,
+    averages, comparison_specs, fig2_workloads, fig9_specs, fold_comparisons,
     fold_model_comparisons, scenario_means, RmComparison,
 };
-use triad_sim::{evaluate_models_with, SimConfig, SimModel, Simulator};
+use triad_sim::{evaluate_models, SimConfig, SimModel, Simulator};
 use triad_trace::Category;
 use triad_util::json::Json;
 use triad_workload::{
     cell_probability, generate_workloads, scenario_of_pair, scenario_probability, ArrivalProcess,
-    Scenario, Stage, Workload, WorkloadSpec,
+    Scenario, Stage, WorkloadSpec,
 };
 
 /// Execution knobs shared by the campaign-backed experiments.
@@ -42,8 +41,6 @@ use triad_workload::{
 pub struct RunOptions {
     /// Worker threads (0 = available parallelism).
     pub threads: usize,
-    /// Also execute the campaign serially and report the speedup.
-    pub compare_serial: bool,
     /// Override the per-spec simulated horizon (RM intervals).
     pub intervals: Option<usize>,
     /// Override every spec's energy-accounting backend (`None` leaves the
@@ -76,8 +73,8 @@ pub struct CampaignRun {
     pub aligned: Vec<Option<CampaignRow>>,
     /// Structured error rows for specs that did not complete.
     pub quarantined: Vec<QuarantinedRow>,
-    /// Timing JSON fragment (spec count; wall-clock only under
-    /// `--compare-serial`, keeping reports deterministic).
+    /// Timing JSON fragment: the spec count only (no wall-clock, keeping
+    /// reports deterministic).
     pub timing: Json,
 }
 
@@ -160,35 +157,7 @@ pub fn run_campaign(
             aligned.push(row_it.next().cloned());
         }
     }
-    let mut timing = Json::obj().set("specs", campaign.specs.len());
-    if opts.compare_serial {
-        if outcome.quarantined.is_empty() {
-            let t1 = Instant::now();
-            let serial_rows = campaign.clone().threads(1).run(db);
-            let serial_s = t1.elapsed().as_secs_f64();
-            assert_eq!(
-                Campaign::report(&serial_rows).to_string_compact(),
-                Campaign::report(&outcome.rows).to_string_compact(),
-                "parallel and serial campaign results must be identical"
-            );
-            println!(
-                "\ncampaign timing: {} specs, parallel {:.2}s vs serial {:.2}s ({:.2}x speedup)",
-                campaign.specs.len(),
-                parallel_s,
-                serial_s,
-                serial_s / parallel_s
-            );
-            timing = timing
-                .set("parallel_s", parallel_s)
-                .set("serial_s", serial_s)
-                .set("speedup", serial_s / parallel_s);
-        } else {
-            eprintln!(
-                "campaign: skipping the serial comparison ({} spec(s) quarantined)",
-                outcome.quarantined.len()
-            );
-        }
-    }
+    let timing = Json::obj().set("specs", campaign.specs.len());
     CampaignRun { rows: outcome.rows, aligned, quarantined: outcome.quarantined, timing }
 }
 
@@ -513,7 +482,7 @@ pub fn fig7(db: &PhaseDb, n_cores: usize, opts: &RunOptions) -> Json {
     let sys = SystemConfig::table1(n_cores);
     let energy = effective_backend(opts);
     let em = energy.build().expect("energy backend validated by the CLI");
-    let evals = evaluate_models_with(db, &sys, em.as_ref());
+    let evals = evaluate_models(db, &sys, em.as_ref());
     println!("FIG. 7: QoS violations over all phases x current x target settings");
     println!("==================================================================");
     println!("{:<8} {:>12} {:>12} {:>12}", "model", "P(violation)", "E[violation]", "std");
@@ -546,7 +515,7 @@ pub fn fig8(db: &PhaseDb, n_cores: usize, opts: &RunOptions) -> Json {
     let sys = SystemConfig::table1(n_cores);
     let energy = effective_backend(opts);
     let em = energy.build().expect("energy backend validated by the CLI");
-    let evals = evaluate_models_with(db, &sys, em.as_ref());
+    let evals = evaluate_models(db, &sys, em.as_ref());
     let max = evals.iter().map(|(_, e)| e.histogram_max()).fold(0.0f64, f64::max);
     println!("FIG. 8: violation-magnitude distribution (normalized to max bin)");
     println!("=================================================================");
@@ -645,6 +614,8 @@ pub fn fig9(db: &PhaseDb, core_counts: &[usize], seed: u64, opts: &RunOptions) -
 pub fn overheads(db: &PhaseDb, seed: u64, opts: &RunOptions) -> Json {
     let intervals = opts.intervals;
     let energy = effective_backend(opts);
+    let em: Arc<dyn EnergyBackend> =
+        Arc::from(energy.build().expect("energy backend validated by the CLI"));
     println!("SEC. III-E: RM algorithm overheads");
     println!("==================================");
     println!("{:<8} {:>10} {:>10} {:>14}", "cores", "RM", "ops/invoc", "~instructions");
@@ -657,7 +628,7 @@ pub fn overheads(db: &PhaseDb, seed: u64, opts: &RunOptions) -> Json {
                 cfg.target_intervals = n;
             }
             let instr_per_op = cfg.rm_instr_per_op;
-            let sim = Simulator::with_energy_config(db, n, cfg, &energy);
+            let sim = Simulator::with_backend(db, n, cfg, Arc::clone(&em));
             let names: Vec<&str> = wl.apps.to_vec();
             let r = sim.run(&names);
             let ops = r.rm_ops as f64 / r.rm_invocations.max(1) as f64;
@@ -1208,15 +1179,4 @@ pub fn churn(db: &PhaseDb, n_cores: usize, seed: u64, pool: &[String], opts: &Ru
         .set("rows", Json::Arr(row_json))
         .set("campaign", run.campaign_json())
         .set("timing", run.timing)
-}
-
-/// Cross-check helper used by the wrappers: workloads for a comparison
-/// experiment at a given core count.
-pub fn comparison_workloads(n_cores: usize, seed: u64) -> Vec<Workload> {
-    generate_workloads(n_cores, 6, seed)
-}
-
-/// Re-export for wrappers that want the realistic model mapping.
-pub fn realistic_model(rm: RmKind) -> SimModel {
-    default_model_for(rm)
 }

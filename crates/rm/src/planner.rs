@@ -77,17 +77,6 @@ pub struct PlanView<'a> {
     pub ops: u64,
 }
 
-impl PlanView<'_> {
-    /// Copy the view into an owned [`RmDecision`].
-    pub fn to_decision(&self) -> RmDecision {
-        RmDecision {
-            settings: self.settings.to_vec(),
-            predicted_energy: self.predicted_energy,
-            ops: self.ops,
-        }
-    }
-}
-
 /// A reduction child: one core's curve slot or another pair-node.
 #[derive(Debug, Clone, Copy)]
 enum Child {

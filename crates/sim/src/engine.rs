@@ -28,7 +28,7 @@ use std::sync::Arc;
 use triad_arch::{
     CoreId, CoreSize, Setting, SystemConfig, DVFS_TRANSITION_ENERGY_J, DVFS_TRANSITION_TIME_S,
 };
-use triad_energy::{resize_drain_time_s, EnergyBackend, EnergyBackendConfig, EnergyModel};
+use triad_energy::{resize_drain_time_s, EnergyBackend, EnergyModel};
 use triad_mem::DramParams;
 use triad_phasedb::{AppDbEntry, PhaseDb, PhaseRecord};
 use triad_rm::{
@@ -320,23 +320,6 @@ impl<'a> Simulator<'a> {
             cfg,
             lmem_s: DramParams::table1().base_latency_s,
         }
-    }
-
-    /// Create a simulator with an explicit energy backend.
-    ///
-    /// Panics when `energy` describes a backend that cannot be built (a
-    /// missing table file, an unknown node) — callers that need graceful
-    /// handling should [`EnergyBackendConfig::build`] first and use
-    /// [`Simulator::with_backend`].
-    pub fn with_energy_config(
-        db: &'a PhaseDb,
-        n_cores: usize,
-        cfg: SimConfig,
-        energy: &EnergyBackendConfig,
-    ) -> Self {
-        let em =
-            energy.build().unwrap_or_else(|e| panic!("energy backend {}: {e}", energy.label()));
-        Self::with_backend(db, n_cores, cfg, Arc::from(em))
     }
 
     /// Create a simulator around an already-constructed backend.

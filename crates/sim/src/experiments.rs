@@ -1,15 +1,16 @@
-//! Experiment drivers for the paper's result figures (Figs. 2, 6, 9).
+//! Spec builders and row folds for the paper's result figures (Figs. 2,
+//! 6, 9).
 //!
-//! Each figure is expressed as a [`Campaign`] of declarative
-//! [`ExperimentSpec`]s and executed in parallel: idle references are
-//! memoized per workload, and all (workload × controller × model) cells of
-//! a figure run concurrently.
+//! Each figure is one [`Campaign`](crate::Campaign) of declarative
+//! [`ExperimentSpec`]s: the builders here expand workloads into specs, the
+//! caller runs them (the `triad-bench` presenters do, in parallel with
+//! memoized idle references), and the folds turn the rows back into
+//! figure-shaped comparisons.
 
-use crate::campaign::{Campaign, CampaignRow, ExperimentSpec};
+use crate::campaign::{CampaignRow, ExperimentSpec};
 use crate::engine::SimModel;
-use triad_phasedb::PhaseDb;
 use triad_rm::{ModelKind, RmKind};
-use triad_workload::{generate_workloads, Scenario, Workload};
+use triad_workload::{Scenario, Workload};
 
 /// Energy savings of the three controllers on one workload.
 #[derive(Debug, Clone)]
@@ -49,7 +50,7 @@ pub fn comparison_specs(
 }
 
 /// Fold three campaign rows (RM1/RM2/RM3, in order) into one comparison.
-pub fn fold_comparison(wl: &Workload, rows: &[CampaignRow]) -> RmComparison {
+fn fold_comparison(wl: &Workload, rows: &[CampaignRow]) -> RmComparison {
     let mut savings = [0.0; 3];
     let mut viol = [0.0; 3];
     for (i, row) in rows.iter().enumerate() {
@@ -71,40 +72,13 @@ pub fn fold_comparisons(workloads: &[Workload], rows: &[CampaignRow]) -> Vec<RmC
         .collect()
 }
 
-/// Compare RM1/RM2/RM3 against the idle RM on many workloads — one
-/// parallel campaign with per-workload memoized idle references.
-pub fn compare_rms_many(
-    db: &PhaseDb,
-    workloads: &[Workload],
-    perfect: bool,
-    overheads: bool,
-    seed: u64,
-) -> Vec<RmComparison> {
-    let specs: Vec<ExperimentSpec> =
-        workloads.iter().flat_map(|wl| comparison_specs(wl, perfect, overheads, seed)).collect();
-    let rows = Campaign::new(specs).run(db);
-    fold_comparisons(workloads, &rows)
-}
-
-/// Compare RM1/RM2/RM3 on one workload against the idle RM.
-pub fn compare_rms(db: &PhaseDb, wl: &Workload, perfect: bool, overheads: bool) -> RmComparison {
-    compare_rms_many(db, std::slice::from_ref(wl), perfect, overheads, 0)
-        .pop()
-        .expect("one workload in, one comparison out")
-}
-
-/// Fig. 2: two-core workloads, one per scenario, with perfect models and no
-/// overheads.
+/// The four representative two-core workloads of Fig. 2, one per
+/// scenario; the figure runs them with perfect models and no overheads.
 ///
 /// Representative pairs (first × second half category per §II):
 /// S1 = libquantum + mcf (CI-PS × CS-PS), S2 = xalancbmk + povray (CS-PI × CI-PI),
 /// S3 = libquantum + bwaves (CI-PS × CI-PS), S4 = povray + gamess
 /// (CI-PI × CI-PI).
-pub fn fig2(db: &PhaseDb) -> Vec<RmComparison> {
-    compare_rms_many(db, &fig2_workloads(), true, false, 0)
-}
-
-/// The four representative two-core workloads of Fig. 2.
 pub fn fig2_workloads() -> Vec<Workload> {
     let cases = [
         (Scenario::S1, ["libquantum", "mcf"]),
@@ -120,12 +94,6 @@ pub fn fig2_workloads() -> Vec<Workload> {
             apps: apps.to_vec(),
         })
         .collect()
-}
-
-/// Fig. 6: six workloads per scenario at `n_cores` (4 or 8 in the paper),
-/// realistic models and overheads, RM1/RM2/RM3.
-pub fn fig6(db: &PhaseDb, n_cores: usize, seed: u64) -> Vec<RmComparison> {
-    compare_rms_many(db, &generate_workloads(n_cores, 6, seed), false, true, seed)
 }
 
 /// Scenario-weighted and plain averages over a set of comparisons
@@ -177,15 +145,6 @@ pub struct ModelComparison {
     pub savings: [f64; 4],
 }
 
-/// Fig. 9: RM3 with Model1/Model2/Model3 versus the perfect-model bound, on
-/// the same workloads as Fig. 6 (overheads included; the perfect bound also
-/// predicts the next phase exactly).
-pub fn fig9(db: &PhaseDb, n_cores: usize, seed: u64) -> Vec<ModelComparison> {
-    let workloads = generate_workloads(n_cores, 6, seed);
-    let rows = Campaign::new(fig9_specs(&workloads, seed)).run(db);
-    fold_model_comparisons(&workloads, &rows)
-}
-
 /// The model ladder Fig. 9 sweeps, in figure order.
 pub const FIG9_MODELS: [SimModel; 4] = [
     SimModel::Online(ModelKind::Model1),
@@ -207,11 +166,13 @@ pub fn fig9_specs(workloads: &[Workload], seed: u64) -> Vec<ExperimentSpec> {
 }
 
 /// Fold campaign rows produced from [`fig9_specs`] back into per-workload
-/// model comparisons.
+/// model comparisons; the rows arrive in `FIG9_MODELS`-sized chunks per
+/// workload.
 pub fn fold_model_comparisons(
     workloads: &[Workload],
     rows: &[CampaignRow],
 ) -> Vec<ModelComparison> {
+    assert_eq!(rows.len(), workloads.len() * FIG9_MODELS.len());
     workloads
         .iter()
         .zip(rows.chunks(FIG9_MODELS.len()))
@@ -228,7 +189,8 @@ pub fn fold_model_comparisons(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use triad_phasedb::{DbConfig, DbStore};
+    use crate::campaign::Campaign;
+    use triad_phasedb::{DbConfig, DbStore, PhaseDb};
 
     /// Resolved through the shared workspace store (see
     /// `campaign::tests::small_db`): warm test runs skip the build.
@@ -249,10 +211,28 @@ mod tests {
         DbStore::default_cache().resolve(&apps, &DbConfig::fast()).db
     }
 
+    /// Fig. 2 as the `triad-bench` presenter runs it: perfect models, no
+    /// overheads, one campaign over the four representative pairs.
+    fn fig2_comparisons(db: &PhaseDb) -> Vec<RmComparison> {
+        let workloads = fig2_workloads();
+        let specs: Vec<ExperimentSpec> =
+            workloads.iter().flat_map(|wl| comparison_specs(wl, true, false, 0)).collect();
+        fold_comparisons(&workloads, &Campaign::new(specs).run(db))
+    }
+
+    /// A short Fig. 9 campaign (RM3 under every model) over the first two
+    /// Fig. 2 pairs.
+    fn fig9_rows(db: &PhaseDb) -> (Vec<Workload>, Vec<CampaignRow>) {
+        let workloads = fig2_workloads()[..2].to_vec();
+        let specs = fig9_specs(&workloads, 0).into_iter().map(|s| s.target_intervals(16)).collect();
+        let rows = Campaign::new(specs).run(db);
+        (workloads, rows)
+    }
+
     #[test]
     fn fig2_shapes_hold() {
         let db = db();
-        let rows = fig2(&db);
+        let rows = fig2_comparisons(&db);
         assert_eq!(rows.len(), 4);
         let s1 = &rows[0].savings;
         let s2 = &rows[1].savings;
@@ -272,7 +252,7 @@ mod tests {
     #[test]
     fn averages_are_convex_combinations() {
         let db = db();
-        let rows = fig2(&db);
+        let rows = fig2_comparisons(&db);
         let (weighted, plain) = averages(&rows);
         for rm in 0..3 {
             let lo = rows.iter().map(|r| r.savings[rm]).fold(f64::INFINITY, f64::min);
@@ -280,5 +260,32 @@ mod tests {
             assert!(weighted[rm] >= lo - 1e-12 && weighted[rm] <= hi + 1e-12);
             assert!(plain[rm] >= lo - 1e-12 && plain[rm] <= hi + 1e-12);
         }
+    }
+
+    #[test]
+    fn fig9_fold_puts_each_model_in_its_column() {
+        let db = db();
+        let (workloads, rows) = fig9_rows(&db);
+        let comparisons = fold_model_comparisons(&workloads, &rows);
+        assert_eq!(comparisons.len(), workloads.len());
+        for (wl, cmp) in workloads.iter().zip(&comparisons) {
+            assert_eq!(cmp.workload.name, wl.name);
+            for (i, model) in FIG9_MODELS.iter().enumerate() {
+                let row = rows
+                    .iter()
+                    .find(|r| r.spec.scenario == Some(wl.scenario) && r.spec.model == *model)
+                    .expect("one row per (workload, model)");
+                assert_eq!(cmp.savings[i], row.savings, "{} column {i}", wl.name);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn fig9_fold_rejects_a_short_row_list() {
+        let db = db();
+        let (workloads, mut rows) = fig9_rows(&db);
+        rows.remove(1);
+        fold_model_comparisons(&workloads, &rows);
     }
 }

@@ -22,15 +22,16 @@
 //!   via [`Simulator::run_trace`] (arrivals, churn, vacancy);
 //! * [`qos_eval`] — the Fig. 7/8 evaluation: violation probability,
 //!   expected magnitude and distribution over all phases × current ×
-//!   target settings, weighted by SimPoint phase weights;
+//!   target settings, weighted by the suite's designed phase weights
+//!   ([`triad_trace::AppSpec::phase_weights`]);
 //! * [`campaign`] — declarative experiment specs executed in parallel with
 //!   shared, memoized idle baselines, canonical JSON reports, per-row
 //!   panic isolation and typed [`CampaignError`]s;
 //! * [`journal`] — the durable append-only row journal behind
 //!   [`Campaign::run_journaled`]: crash-safe resume re-keys completed
 //!   rows instead of re-simulating them;
-//! * [`experiments`] — campaign-based drivers that regenerate Fig. 2,
-//!   Fig. 6 and Fig. 9.
+//! * [`experiments`] — the spec builders and row folds of Fig. 2, Fig. 6
+//!   and Fig. 9 (the `triad-bench` presenters run the campaigns).
 
 pub mod campaign;
 pub mod engine;
@@ -43,10 +44,7 @@ pub mod qos_eval;
 pub use campaign::{Campaign, CampaignError, CampaignOutcome, CampaignRow, ExperimentSpec};
 pub use engine::{SimConfig, SimModel, SimResult, Simulator};
 pub use perfect::PerfectModel;
-pub use qos_eval::{
-    evaluate_model_on_trace, evaluate_models, evaluate_models_with, trace_app_weights,
-    QosEvaluation,
-};
+pub use qos_eval::{evaluate_model_on_trace, evaluate_models, trace_app_weights, QosEvaluation};
 pub use triad_workload::{
     generate_workloads, scenario_of_pair, Scenario, Workload, WorkloadSpec, WorkloadTrace,
 };

@@ -10,18 +10,21 @@
 //!    uniform selection probability over targets.
 //!
 //! The evaluation iterates over all phases of all applications (weighted by
-//! the SimPoint phase weights), all current settings (which determine the
-//! monitor statistics the model reads) and all target settings, and
-//! reports the violation probability, the expected violation magnitude
-//! (Eq. 6), its standard deviation and the magnitude histogram (Fig. 8).
+//! the suite's designed phase weights, [`AppSpec::phase_weights`]), all
+//! current settings (which determine the monitor statistics the model
+//! reads) and all target settings, and reports the violation probability,
+//! the expected violation magnitude (Eq. 6), its standard deviation and the
+//! magnitude histogram (Fig. 8).
 //!
 //! Predictions of the online models do not depend on the current VF point
 //! (cycle counters are frequency-invariant and Eq. 2 is frequency-free), so
 //! the current-setting space is `(c, w)`; targets span the full
 //! `(c, f, w)` grid.
+//!
+//! [`AppSpec::phase_weights`]: triad_trace::AppSpec::phase_weights
 
 use triad_arch::{CoreSize, Setting, SystemConfig};
-use triad_energy::{EnergyBackend, EnergyModel};
+use triad_energy::EnergyBackend;
 use triad_mem::DramParams;
 use triad_phasedb::{PhaseDb, W_MAX, W_MIN};
 use triad_rm::{IntervalModel, ModelKind, Observation, OnlineModel};
@@ -56,18 +59,12 @@ const N_BINS: usize = 20;
 /// Histogram bin width.
 const BIN_WIDTH: f64 = 0.025;
 
-/// Evaluate one model over the whole database under the default
-/// (McPAT-parametric) energy backend.
-pub fn evaluate_model(db: &PhaseDb, kind: ModelKind, sys: &SystemConfig) -> QosEvaluation {
-    evaluate_model_with(db, kind, sys, &EnergyModel::default_model())
-}
-
 /// Evaluate one model under an explicit energy backend. The violation
 /// *probability* is a pure timing property, but which targets the RM
 /// "would select" is checked through the same model object a real run
 /// builds, so the backend is threaded for faithfulness (and so sweeps can
 /// report it as row provenance).
-pub fn evaluate_model_with(
+pub fn evaluate_model(
     db: &PhaseDb,
     kind: ModelKind,
     sys: &SystemConfig,
@@ -209,23 +206,20 @@ fn evaluate_model_weighted(
     }
 }
 
-/// Evaluate all three online models (Fig. 7).
-pub fn evaluate_models(db: &PhaseDb, sys: &SystemConfig) -> Vec<(ModelKind, QosEvaluation)> {
-    ModelKind::ALL.iter().map(|&k| (k, evaluate_model(db, k, sys))).collect()
-}
-
-/// Evaluate all three online models under an explicit energy backend.
-pub fn evaluate_models_with(
+/// Evaluate all three online models (Fig. 7) under an explicit energy
+/// backend.
+pub fn evaluate_models(
     db: &PhaseDb,
     sys: &SystemConfig,
     em: &dyn EnergyBackend,
 ) -> Vec<(ModelKind, QosEvaluation)> {
-    ModelKind::ALL.iter().map(|&k| (k, evaluate_model_with(db, k, sys, em))).collect()
+    ModelKind::ALL.iter().map(|&k| (k, evaluate_model(db, k, sys, em))).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triad_energy::EnergyModel;
     use triad_phasedb::{build_apps, DbConfig};
 
     fn db() -> PhaseDb {
@@ -239,7 +233,7 @@ mod tests {
     fn model3_dominates_on_probability_and_tail() {
         let db = db();
         let sys = SystemConfig::table1(4);
-        let evals = evaluate_models(&db, &sys);
+        let evals = evaluate_models(&db, &sys, &EnergyModel::default_model());
         let p: Vec<f64> = evals.iter().map(|(_, e)| e.probability).collect();
         // The paper's headline (Fig. 7): Model3 < Model2 < Model1.
         assert!(p[2] < p[1], "Model3 {} must beat Model2 {}", p[2], p[1]);
@@ -254,7 +248,7 @@ mod tests {
     fn histogram_mass_matches_probability() {
         let db = db();
         let sys = SystemConfig::table1(4);
-        let e = evaluate_model(&db, ModelKind::Model2, &sys);
+        let e = evaluate_model(&db, ModelKind::Model2, &sys, &EnergyModel::default_model());
         let mass: f64 = e.histogram.iter().sum();
         assert!((mass - e.probability).abs() < 1e-9);
     }
@@ -311,14 +305,14 @@ mod tests {
         let db = db();
         let sys = SystemConfig::table1(2);
         let em = EnergyModel::default_model();
-        let uniform = evaluate_model_with(&db, ModelKind::Model2, &sys, &em);
+        let uniform = evaluate_model(&db, ModelKind::Model2, &sys, &em);
         // A trace occupied solely by povray must reproduce the povray-only
         // evaluation — and generally differ from the uniform average.
         let povray_only = WorkloadTrace::steady(&["povray", "povray"]);
         let traced = evaluate_model_on_trace(&db, &povray_only, ModelKind::Model2, &sys, &em);
         let solo_db =
             PhaseDb { apps: db.apps.iter().filter(|e| e.spec.name == "povray").cloned().collect() };
-        let solo = evaluate_model_with(&solo_db, ModelKind::Model2, &sys, &em);
+        let solo = evaluate_model(&solo_db, ModelKind::Model2, &sys, &em);
         assert_eq!(traced.probability, solo.probability);
         assert_eq!(traced.expected_violation, solo.expected_violation);
         assert_ne!(traced.probability, uniform.probability);
@@ -328,7 +322,7 @@ mod tests {
     fn violations_exist_but_are_minority() {
         let db = db();
         let sys = SystemConfig::table1(4);
-        for (k, e) in evaluate_models(&db, &sys) {
+        for (k, e) in evaluate_models(&db, &sys, &EnergyModel::default_model()) {
             assert!(e.probability > 0.0, "{k}: some modeling error must exist");
             assert!(e.probability < 0.5, "{k}: violations must be the minority");
         }

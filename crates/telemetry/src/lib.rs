@@ -66,12 +66,6 @@ pub fn metrics_on() -> bool {
     FLAGS.load(Ordering::Relaxed) & METRICS != 0
 }
 
-/// True if Chrome-trace event capture is enabled.
-#[inline]
-pub fn trace_on() -> bool {
-    FLAGS.load(Ordering::Relaxed) & TRACE != 0
-}
-
 /// Turn on the given flag bits ([`METRICS`], [`TRACE`]). Idempotent;
 /// the trace epoch is pinned on first enable.
 pub fn enable(flags: u8) {

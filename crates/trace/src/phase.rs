@@ -376,11 +376,6 @@ impl PhaseSpec {
         bases[ri] + block * 64
     }
 
-    /// Memory-instruction fraction (loads + stores).
-    pub fn mem_frac(&self) -> f64 {
-        self.load_frac + self.store_frac
-    }
-
     /// A working-set-scaled copy of this phase for use with
     /// `CacheGeometry::table1_scaled(_, factor)`: every region shrinks by
     /// `factor` so that working-set-to-cache ratios — and therefore miss

@@ -76,18 +76,6 @@ pub struct TimingResult {
     pub util: f64,
 }
 
-impl TimingResult {
-    /// `T1 = T_BP + T_Cache` from Eq. 1.
-    pub fn t1_s(&self) -> f64 {
-        self.t_branch_s + self.t_cache_s
-    }
-
-    /// Total DRAM line transfers (loads + store fills).
-    pub fn dram_accesses(&self) -> u64 {
-        self.dram_loads + self.dram_stores
-    }
-}
-
 /// Simulate `trace` (classified as `ct`) under `cfg` as one lane at
 /// `(cfg.ways, cfg.freq_hz)` on a fresh [`crate::TimingEngine`].
 ///

@@ -36,7 +36,7 @@
 //! inert path is performance-critical.
 
 use crate::rand::{rngs::StdRng, RandomValue, SeedableRng};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// What an armed site injects when its trigger fires.
@@ -84,7 +84,6 @@ impl Site {
         };
         if fire {
             self.fired += 1;
-            TOTAL_FIRED.fetch_add(1, Ordering::Relaxed);
             Some(self.kind)
         } else {
             None
@@ -94,8 +93,6 @@ impl Site {
 
 /// Number of armed sites; the inert fast path is `ARMED == 0`.
 static ARMED: AtomicUsize = AtomicUsize::new(0);
-/// Total faults injected process-wide (all sites, all kinds).
-static TOTAL_FIRED: AtomicU64 = AtomicU64::new(0);
 static SITES: Mutex<Vec<Site>> = Mutex::new(Vec::new());
 
 fn lock_sites() -> std::sync::MutexGuard<'static, Vec<Site>> {
@@ -208,11 +205,6 @@ pub fn clear_all() {
 /// Number of times `site` has injected a fault so far.
 pub fn fired(site: &str) -> u64 {
     lock_sites().iter().find(|s| s.name == site).map(|s| s.fired).unwrap_or(0)
-}
-
-/// Total faults injected process-wide since start.
-pub fn total_fired() -> u64 {
-    TOTAL_FIRED.load(Ordering::Relaxed)
 }
 
 /// Parse and arm a full `TRIAD_FAILPOINTS`-syntax configuration string:
