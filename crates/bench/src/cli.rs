@@ -41,9 +41,9 @@ OPTIONS:
                               [default: $TRIAD_DB_CACHE or <workspace>/target/phasedb]
         --db-rebuild          ignore any cached database and rebuild (refreshes the cache)
         --energy-backend <B>  energy accounting backend: mcpat | table:<path> | scaled:<node>
-                              (nodes: 32nm, 22nm, 14nm, 7nm) [default: mcpat]
-        --energy-table <PATH> shorthand for --energy-backend table:<PATH>; for energy-sweep,
-                              the measured table to sweep (default: a table sampled from mcpat)
+                              (nodes: 32nm, 22nm, 14nm, 7nm) [default: mcpat];
+                              energy-sweep: table:<path> is the measured table to sweep
+                              (default: a table sampled from mcpat)
         --apps <A,B,..>       custom/energy-sweep: one application per core;
                               churn: the app pool replacements draw from
         --workload <PATH>     custom: run a dynamic workload spec (JSON, see the
@@ -80,7 +80,6 @@ pub struct Args {
     pub db_cache: Option<String>,
     pub db_rebuild: bool,
     pub energy_backend: Option<String>,
-    pub energy_table: Option<String>,
     pub apps: Vec<String>,
     pub workload: Option<String>,
     pub rm: String,
@@ -108,7 +107,6 @@ impl Default for Args {
             db_cache: None,
             db_rebuild: false,
             energy_backend: None,
-            energy_table: None,
             apps: Vec::new(),
             workload: None,
             rm: "rm3".into(),
@@ -155,7 +153,6 @@ pub fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--db-cache" => args.db_cache = Some(value(&mut it, a)?),
             "--db-rebuild" => args.db_rebuild = true,
             "--energy-backend" => args.energy_backend = Some(value(&mut it, a)?),
-            "--energy-table" => args.energy_table = Some(value(&mut it, a)?),
             "--apps" => {
                 args.apps = value(&mut it, a)?.split(',').map(|s| s.trim().to_string()).collect()
             }
@@ -212,25 +209,13 @@ pub fn run(args: &Args) -> Result<(), String> {
             std::fs::write(p, "").map_err(|e| format!("--journal {path}: {e}"))?;
         }
     }
-    // Resolve the energy-backend selection (--energy-table is shorthand for
-    // --energy-backend table:<path>) and fail fast — before paying for the
-    // database — when the table file or technology node is bad.
-    let energy_cfg: Option<EnergyBackendConfig> = match (&args.energy_backend, &args.energy_table) {
-        (Some(b), t) => {
-            let cfg = EnergyBackendConfig::parse(b).ok_or_else(|| {
-                format!(
-                    "unknown --energy-backend {b} (expected mcpat, table:<path> or scaled:<node>)"
-                )
-            })?;
-            if let Some(t) = t {
-                if cfg != (EnergyBackendConfig::Table { path: t.clone() }) {
-                    return Err(format!("--energy-backend {b} conflicts with --energy-table {t}"));
-                }
-            }
-            Some(cfg)
-        }
-        (None, Some(t)) => Some(EnergyBackendConfig::Table { path: t.clone() }),
-        (None, None) => None,
+    // Resolve the energy-backend selection and fail fast — before paying
+    // for the database — when the table file or technology node is bad.
+    let energy_cfg: Option<EnergyBackendConfig> = match &args.energy_backend {
+        Some(b) => Some(EnergyBackendConfig::parse(b).ok_or_else(|| {
+            format!("unknown --energy-backend {b} (expected mcpat, table:<path> or scaled:<node>)")
+        })?),
+        None => None,
     };
     if let Some(cfg) = &energy_cfg {
         cfg.build().map_err(|e| format!("--energy-backend {}: {e}", cfg.label()))?;
@@ -275,15 +260,15 @@ pub fn run(args: &Args) -> Result<(), String> {
     // Validate everything cheap *before* paying for the database build.
     // The sweep owns backend selection — it reruns the same specs under
     // every backend — so an explicit non-table --energy-backend would be
-    // silently ignored; reject it instead. --energy-table (or its
-    // table:<path> spelling) chooses the sweep's measured-table leg.
+    // silently ignored; reject it instead. --energy-backend table:<path>
+    // chooses the sweep's measured-table leg.
     let sweep_table: Option<String> = match (&args.experiment[..], &energy_cfg) {
         ("energy-sweep", None) => None,
         ("energy-sweep", Some(EnergyBackendConfig::Table { path })) => Some(path.clone()),
         ("energy-sweep", Some(other)) => {
             return Err(format!(
                 "energy-sweep runs every backend; --energy-backend {} would have no \
-                 effect (use --energy-table to choose the measured-table leg)",
+                 effect (use --energy-backend table:<path> to choose the measured-table leg)",
                 other.label()
             ))
         }

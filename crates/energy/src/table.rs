@@ -156,7 +156,8 @@ impl TableBackend {
         }
     }
 
-    /// Canonical JSON form (the file format `--energy-table` reads).
+    /// Canonical JSON form (the file format `--energy-backend table:<path>`
+    /// reads).
     pub fn to_json(&self) -> Json {
         let size = |c: CoreSize| {
             Json::Arr(

@@ -3,16 +3,13 @@
 use crate::record::{cw, AppDbEntry, MonitorStats, PhaseDb, PhaseRecord, NC, NW, W_MAX, W_MIN};
 use triad_arch::{CacheGeometry, CoreSize};
 use triad_cache::{generate_classify, MlpMonitor};
-use triad_telemetry::{Counter, Histogram, SpanName};
+use triad_telemetry::SpanName;
 use triad_trace::{AppSpec, Inst, PhaseSpec};
 use triad_uarch::{LaneSpec, TimingConfig, TimingEngine};
 
 static BUILD_APPS_SPAN: SpanName = SpanName::new("phasedb.build_apps");
 static GENERATE_CLASSIFY_SPAN: SpanName = SpanName::new("phasedb.generate_classify");
 static GRID_SPAN: SpanName = SpanName::new("phasedb.grid");
-static PHASES_TOTAL: Counter = Counter::new("phasedb.phases_total");
-static PHASE_REPS: Counter = Counter::new("phasedb.phase_reps");
-static CLASS_SIZE: Histogram = Histogram::new("phasedb.decode_share_class_size");
 
 /// Database build parameters.
 #[derive(Debug, Clone, Copy)]
@@ -74,94 +71,28 @@ pub fn build_suite(cfg: &DbConfig) -> PhaseDb {
 ///
 /// Phases are processed in parallel with scoped worker threads; the result
 /// is deterministic regardless of scheduling.
-///
-/// Phases whose generation inputs are bit-identical — equal
-/// [`PhaseSpec::decode_key`] after region scaling, under one build
-/// configuration — are decoded, classified and simulated **once** per
-/// equivalence class; the finished [`PhaseRecord`] (fit coefficients,
-/// miss curves and per-configuration [`MonitorStats`] alike) is a pure
-/// function of those inputs, so every other member of the class reuses it
-/// verbatim. The stock 27-app suite gives every phase a unique `tag`
-/// (mixed into the RNG seed), so classes there are singletons and this is
-/// a no-op; suites that repeat phase specs across apps — ablations,
-/// sweeps over `DbConfig`, synthetic workloads — skip the duplicate
-/// decode+simulate entirely.
 pub fn build_apps(apps: &[AppSpec], cfg: &DbConfig) -> PhaseDb {
-    build_apps_impl(apps, cfg, true)
-}
-
-/// [`build_apps`] with cross-phase sharing disabled: every phase is
-/// decoded and simulated independently even when its generation inputs
-/// match another's. Bench comparators use this to price the sharing
-/// layer; results are bit-identical to [`build_apps`].
-#[doc(hidden)]
-pub fn build_apps_unshared(apps: &[AppSpec], cfg: &DbConfig) -> PhaseDb {
-    build_apps_impl(apps, cfg, false)
-}
-
-fn build_apps_impl(apps: &[AppSpec], cfg: &DbConfig, share: bool) -> PhaseDb {
     let _span = BUILD_APPS_SPAN.enter();
-    // Flatten (app, phase) tasks, then collapse tasks with identical
-    // generation inputs onto one representative per equivalence class.
-    // The class key extends the spec's decode key with every `DbConfig`
-    // field the record depends on (`threads` only affects scheduling).
-    let mut class_of: Vec<usize> = Vec::new();
-    let mut reps: Vec<(usize, usize)> = Vec::new();
-    let mut seen: std::collections::HashMap<Vec<u64>, usize> = std::collections::HashMap::new();
-    for (ai, app) in apps.iter().enumerate() {
-        for pi in 0..app.phases.len() {
-            let cid = if share {
-                let mut key = app.phases[pi].scaled(cfg.scale as u64).decode_key();
-                key.extend([
-                    cfg.scale as u64,
-                    cfg.warmup as u64,
-                    cfg.detail as u64,
-                    cfg.seed,
-                    cfg.fit_lo_hz.to_bits(),
-                    cfg.fit_hi_hz.to_bits(),
-                ]);
-                *seen.entry(key).or_insert_with(|| {
-                    reps.push((ai, pi));
-                    reps.len() - 1
-                })
-            } else {
-                reps.push((ai, pi));
-                reps.len() - 1
-            };
-            class_of.push(cid);
-        }
-    }
-    PHASES_TOTAL.add(class_of.len() as u64);
-    PHASE_REPS.add(reps.len() as u64);
-    if triad_telemetry::metrics_on() {
-        let mut sizes = vec![0u64; reps.len()];
-        for &cid in &class_of {
-            sizes[cid] += 1;
-        }
-        for size in sizes {
-            CLASS_SIZE.observe(size);
-        }
-    }
+    let phases: Vec<&PhaseSpec> = apps.iter().flat_map(|app| &app.phases).collect();
     // Each worker thread owns one [`PhaseScratch`] — the timing engine's
     // ring buffers, the monitor set and the detailed-trace buffer — reused
-    // across every representative the worker claims instead of reallocated
-    // per phase. The scratch carries no state between phases (monitors are
+    // across every phase the worker claims instead of reallocated per
+    // phase. The scratch carries no state between phases (monitors are
     // reset, buffers overwritten), so results stay deterministic across
     // thread counts (asserted by tests).
-    let uniq = triad_util::par::par_map_with(
-        &reps,
-        cfg.threads,
-        PhaseScratch::new,
-        |scratch, &(ai, pi)| build_phase_with(&apps[ai].phases[pi], cfg, scratch),
-    );
-    let mut flat = class_of.iter().map(|&cid| uniq[cid].clone());
-    let mut out = Vec::with_capacity(apps.len());
-    for app in apps {
-        let records: Vec<PhaseRecord> =
-            (0..app.phases.len()).map(|_| flat.next().unwrap()).collect();
-        out.push(AppDbEntry { spec: app.clone(), records });
-    }
-    PhaseDb { apps: out }
+    let mut records =
+        triad_util::par::par_map_with(&phases, cfg.threads, PhaseScratch::new, |scratch, spec| {
+            build_phase_with(spec, cfg, scratch)
+        })
+        .into_iter();
+    let apps = apps
+        .iter()
+        .map(|app| AppDbEntry {
+            spec: app.clone(),
+            records: records.by_ref().take(app.phases.len()).collect(),
+        })
+        .collect();
+    PhaseDb { apps }
 }
 
 /// Reusable per-worker scratch for [`build_phase_with`]: the timing
@@ -432,65 +363,6 @@ mod tests {
             assert_eq!(r1.b_spi, r2.b_spi);
             assert_eq!(r1.miss_curve_pi, r2.miss_curve_pi);
         }
-    }
-
-    /// Cross-phase decode sharing must be invisible in the output: a suite
-    /// that repeats one spec (within an app and across apps) must build to
-    /// the same bits shared and unshared — fit coefficients, miss curves
-    /// and every per-configuration [`MonitorStats`] field. The stock suite
-    /// never duplicates specs (tags are unique), so this constructs the
-    /// duplication explicitly.
-    #[test]
-    fn decode_sharing_is_bit_exact_including_monitors() {
-        let suite = triad_trace::suite();
-        let mcf = suite.iter().find(|a| a.name == "mcf").unwrap();
-        let pov = suite.iter().find(|a| a.name == "povray").unwrap();
-        let dup = mcf.phases[0].clone();
-        let apps = vec![
-            AppSpec {
-                name: "dup-intra",
-                category: mcf.category,
-                phases: vec![dup.clone(), pov.phases[0].clone(), dup.clone()],
-                sequence: vec![0, 1, 2, 0],
-            },
-            AppSpec {
-                name: "dup-inter",
-                category: mcf.category,
-                phases: vec![dup.clone()],
-                sequence: vec![0],
-            },
-        ];
-        let cfg = DbConfig::fast();
-        let shared = build_apps(&apps, &cfg);
-        let unshared = build_apps_unshared(&apps, &cfg);
-        for (es, eu) in shared.apps.iter().zip(&unshared.apps) {
-            for (rs, ru) in es.records.iter().zip(&eu.records) {
-                assert_eq!(rs.a_cpi, ru.a_cpi);
-                assert_eq!(rs.b_spi, ru.b_spi);
-                assert_eq!(rs.miss_curve_pi, ru.miss_curve_pi);
-                assert_eq!(rs.load_miss_curve_pi, ru.load_miss_curve_pi);
-                assert_eq!(rs.llc_acc_pi, ru.llc_acc_pi);
-                assert_eq!(rs.wb_frac, ru.wb_frac);
-                assert_eq!(rs.true_mlp, ru.true_mlp);
-                for (ms, mu) in rs.monitor.iter().zip(&ru.monitor) {
-                    assert_eq!(ms.c0_cpi, mu.c0_cpi);
-                    assert_eq!(ms.c_branch_cpi, mu.c_branch_cpi);
-                    assert_eq!(ms.c_cache_cpi, mu.c_cache_cpi);
-                    assert_eq!(ms.tmem_spi, mu.tmem_spi);
-                    assert_eq!(ms.mlp_avg, mu.mlp_avg);
-                    assert_eq!(ms.lm_pi, mu.lm_pi);
-                    assert_eq!(ms.ma_pi, mu.ma_pi);
-                }
-            }
-        }
-        // All copies of the duplicated spec resolve to the same record.
-        let a = &shared.apps[0].records[0];
-        let b = &shared.apps[0].records[2];
-        let c = &shared.apps[1].records[0];
-        assert_eq!(a.a_cpi, b.a_cpi);
-        assert_eq!(a.a_cpi, c.a_cpi);
-        // ...and the distinct spec does not (the classes really differ).
-        assert_ne!(a.a_cpi, shared.apps[0].records[1].a_cpi);
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //! is persisted behind a content-addressed [`DbStore`]: artifacts are keyed
 //! by [`db_fingerprint`] (a canonical digest of the [`DbConfig`], the suite
 //! definition and the shape constants), loaded on hit, and built + written
-//! atomically on miss. Every consumer — campaigns, the `triad-bench` CLI,
-//! the calibration tool — resolves its database through the store instead
-//! of calling [`build_suite`] directly.
+//! atomically on miss. Every consumer — campaigns and the `triad-bench`
+//! CLI — resolves its database through the store instead of calling
+//! [`build_suite`] directly.
 
 pub mod build;
 pub mod characterize;
@@ -40,7 +40,7 @@ pub mod record;
 pub mod serde;
 pub mod store;
 
-pub use build::{build_apps, build_apps_unshared, build_phase, build_suite, DbConfig};
+pub use build::{build_apps, build_phase, build_suite, DbConfig};
 pub use characterize::{characterize_app, AppCharacterization};
 pub use fingerprint::{db_fingerprint, FINGERPRINT_DOMAIN};
 pub use record::{cw, AppDbEntry, MonitorStats, PhaseDb, PhaseRecord, NC, NW, W_MAX, W_MIN};

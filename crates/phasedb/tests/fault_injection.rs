@@ -53,6 +53,26 @@ fn injected_load_fault_degrades_to_a_clean_rebuild() {
 }
 
 #[test]
+fn absurdly_nested_artifact_degrades_to_a_clean_rebuild() {
+    let _g = locked();
+    let store = temp_store("deep");
+    let apps = test_apps();
+    let cfg = DbConfig::fast();
+    let first = store.resolve(&apps, &cfg);
+    let published = std::fs::read_to_string(&first.path).unwrap();
+
+    // A balanced 300,000-deep document in place of the artifact: the
+    // reader must reject it, not recurse until the stack overflows.
+    let depth = 300_000;
+    std::fs::write(&first.path, format!("{}{}", "[".repeat(depth), "]".repeat(depth))).unwrap();
+    let rebuilt = store.resolve(&apps, &cfg);
+    assert_eq!(rebuilt.outcome, StoreOutcome::CorruptRebuilt);
+    assert_eq!(std::fs::read_to_string(&first.path).unwrap(), published);
+    assert!(store.resolve(&apps, &cfg).outcome.is_hit());
+    let _ = std::fs::remove_dir_all(store.dir());
+}
+
+#[test]
 fn transient_persist_faults_are_retried_and_counted() {
     let _g = locked();
     triad_telemetry::enable(triad_telemetry::METRICS);

@@ -388,42 +388,6 @@ impl PhaseSpec {
         }
         p
     }
-
-    /// Bit-exact key of every field that drives trace generation. Two
-    /// specs with equal keys produce identical instruction streams for any
-    /// `(len, seed)` — the generator reads nothing else — so downstream
-    /// decode/classify/simulate work keyed on `(decode_key, seed, ...)`
-    /// can be shared across phases without approximation. `f64` fields are
-    /// compared by bit pattern, which is exact (and strictly finer than
-    /// `==`: it distinguishes `-0.0` from `0.0`, which the cutoff-table
-    /// construction can also distinguish through rounding).
-    pub fn decode_key(&self) -> Vec<u64> {
-        let mut k = Vec::with_capacity(11 + 3 * self.regions.len());
-        k.push(self.tag);
-        for f in [
-            self.load_frac,
-            self.store_frac,
-            self.branch_frac,
-            self.longop_frac,
-            self.mispredict_rate,
-            self.dep_mean,
-            self.dep2_prob,
-            self.chase_frac,
-            self.burst,
-            self.addr_dep,
-        ] {
-            k.push(f.to_bits());
-        }
-        for r in &self.regions {
-            k.push(r.blocks);
-            k.push(r.weight.to_bits());
-            k.push(match r.pattern {
-                AccessPattern::Uniform => 0,
-                AccessPattern::Sweep => 1,
-            });
-        }
-        k
-    }
 }
 
 /// Precomputed draw schedule for one [`PhaseSpec`]: every per-instruction

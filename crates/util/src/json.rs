@@ -1,5 +1,5 @@
-//! Minimal JSON document model with a canonical writer and a streaming
-//! [`parse`]r (the writer's inverse).
+//! Minimal JSON document model with a canonical writer and a
+//! recursive-descent [`parse`]r (the writer's inverse).
 //!
 //! Campaign results must serialize byte-identically across runs and thread
 //! counts, so the writer is deliberately boring: object keys keep insertion
@@ -11,7 +11,7 @@
 
 use std::fmt::Write as _;
 
-pub use crate::json_parse::{parse, ParseError, ParseEvent, Parser};
+pub use crate::json_parse::{parse, ParseError};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,11 +1,11 @@
-//! Streaming parser for the canonical JSON dialect — the writer's inverse.
+//! Recursive-descent reader for the canonical JSON dialect — the writer's
+//! inverse.
 //!
-//! [`Parser`] is a pull parser: each [`Parser::next_event`] call consumes
-//! exactly one structural element from the input and returns it as a
-//! [`ParseEvent`] — no intermediate token list is ever materialized, and
-//! consumers that want to skip the tree (e.g. future sharded readers of
-//! the persisted phase database) can fold the events directly.
-//! [`parse`] folds the event stream into a [`Json`] tree.
+//! [`parse`] walks the input once and builds the [`Json`] tree directly,
+//! one call frame per open container. Nesting deeper than a fixed bound
+//! (512 levels) is rejected with a [`ParseError`] rather than recursed
+//! into, so a hostile document can neither overflow the reader's stack nor
+//! the recursive drop of the tree it would build.
 //!
 //! The grammar is strict RFC 8259 JSON with one deliberate restriction:
 //! numbers without `.`/`e` must fit in `i64` (the canonical writer always
@@ -34,71 +34,19 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// One structural element of a JSON document, in document order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ParseEvent {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A number without fraction or exponent.
-    Int(i64),
-    /// A number with fraction or exponent.
-    Num(f64),
-    /// A string value (not an object key).
-    Str(String),
-    /// `[`.
-    StartArr,
-    /// `]`.
-    EndArr,
-    /// `{`.
-    StartObj,
-    /// An object key; the next event is its value.
-    Key(String),
-    /// `}`.
-    EndObj,
-}
+/// Deepest container nesting [`parse`] accepts. Every document this
+/// workspace writes nests fewer than ten levels; the bound keeps both the
+/// reader's recursion and the recursive drop of the resulting tree far
+/// from the thread's stack limit on hostile input.
+const MAX_DEPTH: usize = 512;
 
-/// What the parser expects next inside the current container.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Mode {
-    /// A value (top level, after `:`, or after `[`/`,` in an array).
-    Value,
-    /// The first array element or `]`.
-    FirstElem,
-    /// `,` or `]`.
-    ElemSep,
-    /// The first object key or `}`.
-    FirstKey,
-    /// `,` or `}`.
-    KeySep,
-    /// A key (after `,` in an object).
-    NextKey,
-    /// End of document (only trailing whitespace allowed).
-    Done,
-}
-
-/// Container kind on the nesting stack.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Ctx {
-    Arr,
-    Obj,
-}
-
-/// Pull parser over a complete input string.
-pub struct Parser<'a> {
+/// Recursive-descent reader over a complete input string.
+struct Reader<'a> {
     src: &'a str,
     pos: usize,
-    stack: Vec<Ctx>,
-    mode: Mode,
 }
 
-impl<'a> Parser<'a> {
-    /// A parser positioned at the start of `src`.
-    pub fn new(src: &'a str) -> Self {
-        Parser { src, pos: 0, stack: Vec::new(), mode: Mode::Value }
-    }
-
+impl<'a> Reader<'a> {
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError { offset: self.pos, msg: msg.into() })
     }
@@ -126,126 +74,76 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Pop one container and transition to the state after its value.
-    fn close(&mut self) {
-        self.stack.pop();
-        self.mode = match self.stack.last() {
-            None => Mode::Done,
-            Some(Ctx::Arr) => Mode::ElemSep,
-            Some(Ctx::Obj) => Mode::KeySep,
-        };
-    }
-
-    /// Pull the next event, or `None` at the end of a complete document.
-    ///
-    /// Trailing non-whitespace input after the document is an error.
-    pub fn next_event(&mut self) -> Result<Option<ParseEvent>, ParseError> {
-        self.skip_ws();
-        match self.mode {
-            Mode::Done => match self.peek() {
-                None => Ok(None),
-                Some(_) => self.err("trailing characters after document"),
-            },
-            Mode::Value => self.value(),
-            Mode::FirstElem => {
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    self.close();
-                    return Ok(Some(ParseEvent::EndArr));
-                }
-                self.value()
+    /// Parse one value (after leading whitespace) nested inside `depth`
+    /// enclosing containers.
+    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+        match self.peek() {
+            None => self.err("unexpected end of input"),
+            Some(b'[') | Some(b'{') if depth == MAX_DEPTH => {
+                self.err(format!("nesting deeper than {MAX_DEPTH} levels"))
             }
-            Mode::ElemSep => match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                    self.mode = Mode::Value;
-                    self.skip_ws();
-                    self.value()
-                }
-                Some(b']') => {
-                    self.pos += 1;
-                    self.close();
-                    Ok(Some(ParseEvent::EndArr))
-                }
-                _ => self.err("expected ',' or ']'"),
-            },
-            Mode::FirstKey => {
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    self.close();
-                    return Ok(Some(ParseEvent::EndObj));
-                }
-                self.key()
-            }
-            Mode::KeySep => match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                    self.mode = Mode::NextKey;
-                    self.skip_ws();
-                    self.key()
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.close();
-                    Ok(Some(ParseEvent::EndObj))
-                }
-                _ => self.err("expected ',' or '}'"),
-            },
-            Mode::NextKey => self.key(),
-        }
-    }
-
-    /// Parse an object key plus its `:`, leaving the parser before the value.
-    fn key(&mut self) -> Result<Option<ParseEvent>, ParseError> {
-        if self.peek() != Some(b'"') {
-            return self.err("expected object key string");
-        }
-        let k = self.string()?;
-        self.skip_ws();
-        self.expect(b':')?;
-        self.mode = Mode::Value;
-        Ok(Some(ParseEvent::Key(k)))
-    }
-
-    /// Parse one value's leading token and set the follow-up mode.
-    fn value(&mut self) -> Result<Option<ParseEvent>, ParseError> {
-        let ev = match self.peek() {
-            None => return self.err("unexpected end of input"),
             Some(b'[') => {
-                self.pos += 1;
-                self.stack.push(Ctx::Arr);
-                self.mode = Mode::FirstElem;
-                return Ok(Some(ParseEvent::StartArr));
+                let mut items = Vec::new();
+                let mut closed = self.open(b']');
+                while !closed {
+                    items.push(self.value(depth + 1)?);
+                    closed = self.comma_or_close(b']')?;
+                }
+                Ok(Json::Arr(items))
             }
             Some(b'{') => {
+                let mut fields = Vec::new();
+                let mut closed = self.open(b'}');
+                while !closed {
+                    if self.peek() != Some(b'"') {
+                        return self.err("expected object key string");
+                    }
+                    let key = self.string()?;
+                    self.skip_ws();
+                    self.expect(b':')?;
+                    self.skip_ws();
+                    fields.push((key, self.value(depth + 1)?));
+                    closed = self.comma_or_close(b'}')?;
+                }
+                Ok(Json::Obj(fields))
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
+            Some(b'-') | Some(b'0'..=b'9') => self.number(),
+            Some(c) => self.err(format!("unexpected character '{}'", c as char)),
+        }
+    }
+
+    /// Consume a container's opening bracket; true when `close` follows
+    /// immediately (an empty container, consumed too).
+    fn open(&mut self, close: u8) -> bool {
+        self.pos += 1;
+        self.skip_ws();
+        let empty = self.peek() == Some(close);
+        if empty {
+            self.pos += 1;
+        }
+        empty
+    }
+
+    /// Consume the `,` or `close` after a container element; true when it
+    /// was `close`.
+    fn comma_or_close(&mut self, close: u8) -> Result<bool, ParseError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
                 self.pos += 1;
-                self.stack.push(Ctx::Obj);
-                self.mode = Mode::FirstKey;
-                return Ok(Some(ParseEvent::StartObj));
+                self.skip_ws();
+                Ok(false)
             }
-            Some(b'"') => ParseEvent::Str(self.string()?),
-            Some(b'n') => {
-                self.literal("null")?;
-                ParseEvent::Null
+            Some(c) if c == close => {
+                self.pos += 1;
+                Ok(true)
             }
-            Some(b't') => {
-                self.literal("true")?;
-                ParseEvent::Bool(true)
-            }
-            Some(b'f') => {
-                self.literal("false")?;
-                ParseEvent::Bool(false)
-            }
-            Some(b'-') | Some(b'0'..=b'9') => self.number()?,
-            Some(c) => return self.err(format!("unexpected character '{}'", c as char)),
-        };
-        // Scalar complete: move to the post-value state of the container.
-        self.mode = match self.stack.last() {
-            None => Mode::Done,
-            Some(Ctx::Arr) => Mode::ElemSep,
-            Some(Ctx::Obj) => Mode::KeySep,
-        };
-        Ok(Some(ev))
+            _ => self.err(format!("expected ',' or '{}'", close as char)),
+        }
     }
 
     fn literal(&mut self, lit: &str) -> Result<(), ParseError> {
@@ -257,7 +155,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<ParseEvent, ParseError> {
+    fn number(&mut self) -> Result<Json, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -302,13 +200,13 @@ impl<'a> Parser<'a> {
                 offset: start,
                 msg: format!("bad float '{text}': {e}"),
             })?;
-            Ok(ParseEvent::Num(x))
+            Ok(Json::Num(x))
         } else {
             let i: i64 = text.parse().map_err(|_| ParseError {
                 offset: start,
                 msg: format!("integer '{text}' out of i64 range"),
             })?;
-            Ok(ParseEvent::Int(i))
+            Ok(Json::Int(i))
         }
     }
 
@@ -410,58 +308,14 @@ impl<'a> Parser<'a> {
 /// encoding (integers stay [`Json::Int`], floats stay [`Json::Num`] with
 /// identical bit patterns, object key order is preserved).
 pub fn parse(src: &str) -> Result<Json, ParseError> {
-    let mut p = Parser::new(src);
-    // Stack of containers under construction; objects carry pending keys.
-    enum Slot {
-        Arr(Vec<Json>),
-        Obj(Vec<(String, Json)>, Option<String>),
+    let mut r = Reader { src, pos: 0 };
+    r.skip_ws();
+    let doc = r.value(0)?;
+    r.skip_ws();
+    match r.peek() {
+        None => Ok(doc),
+        Some(_) => r.err("trailing characters after document"),
     }
-    let mut stack: Vec<Slot> = Vec::new();
-    let mut root: Option<Json> = None;
-
-    while let Some(ev) = p.next_event()? {
-        let completed: Option<Json> = match ev {
-            ParseEvent::Null => Some(Json::Null),
-            ParseEvent::Bool(b) => Some(Json::Bool(b)),
-            ParseEvent::Int(i) => Some(Json::Int(i)),
-            ParseEvent::Num(x) => Some(Json::Num(x)),
-            ParseEvent::Str(s) => Some(Json::Str(s)),
-            ParseEvent::StartArr => {
-                stack.push(Slot::Arr(Vec::new()));
-                None
-            }
-            ParseEvent::StartObj => {
-                stack.push(Slot::Obj(Vec::new(), None));
-                None
-            }
-            ParseEvent::Key(k) => {
-                match stack.last_mut() {
-                    Some(Slot::Obj(_, pending)) => *pending = Some(k),
-                    _ => unreachable!("parser emits keys only inside objects"),
-                }
-                None
-            }
-            ParseEvent::EndArr => match stack.pop() {
-                Some(Slot::Arr(items)) => Some(Json::Arr(items)),
-                _ => unreachable!("parser balances array events"),
-            },
-            ParseEvent::EndObj => match stack.pop() {
-                Some(Slot::Obj(fields, None)) => Some(Json::Obj(fields)),
-                _ => unreachable!("parser balances object events"),
-            },
-        };
-        if let Some(value) = completed {
-            match stack.last_mut() {
-                None => root = Some(value),
-                Some(Slot::Arr(items)) => items.push(value),
-                Some(Slot::Obj(fields, pending)) => {
-                    let key = pending.take().expect("parser emits Key before each value");
-                    fields.push((key, value));
-                }
-            }
-        }
-    }
-    root.ok_or(ParseError { offset: 0, msg: "empty document".into() })
 }
 
 #[cfg(test)]
@@ -491,25 +345,26 @@ mod tests {
         assert_eq!(doc, expected);
     }
 
+    fn nested_arrays(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
     #[test]
-    fn event_stream_is_pullable() {
-        let mut p = Parser::new(r#"[1,{"k":true}]"#);
-        let mut events = Vec::new();
-        while let Some(ev) = p.next_event().unwrap() {
-            events.push(ev);
+    fn nesting_at_the_bound_parses_and_deeper_errors() {
+        let mut doc = parse(&nested_arrays(MAX_DEPTH)).unwrap();
+        for _ in 1..MAX_DEPTH {
+            doc = match doc {
+                Json::Arr(mut items) => items.pop().unwrap(),
+                other => panic!("expected array, got {other:?}"),
+            };
         }
-        assert_eq!(
-            events,
-            vec![
-                ParseEvent::StartArr,
-                ParseEvent::Int(1),
-                ParseEvent::StartObj,
-                ParseEvent::Key("k".into()),
-                ParseEvent::Bool(true),
-                ParseEvent::EndObj,
-                ParseEvent::EndArr,
-            ]
-        );
+        assert_eq!(doc, Json::Arr(vec![]));
+
+        let err = parse(&nested_arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert_eq!(err.msg, format!("nesting deeper than {MAX_DEPTH} levels"));
+        let obj = format!("{}{{}}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(parse(&obj).unwrap_err().offset, MAX_DEPTH);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! * [`par`] — an order-preserving parallel map over scoped threads, the
 //!   substrate for both the phase-database build and campaign execution.
 //! * [`json`] — a minimal JSON document model with a canonical writer and
-//!   a streaming parser (the writer's inverse), so campaign results are
-//!   byte-identical across runs and thread counts and persisted artifacts
-//!   round-trip losslessly.
+//!   a recursive-descent parser (the writer's inverse, with a fixed nesting
+//!   bound so hostile input errors instead of overflowing the stack), so
+//!   campaign results are byte-identical across runs and thread counts and
+//!   persisted artifacts round-trip losslessly.
 //! * [`hash`] — std-only SHA-256 plus a canonical [`hash::Fingerprint`]
 //!   builder, the basis of the content-addressed phase-database store.
 //! * [`mod@bench`] — a tiny wall-clock measurement harness for the

@@ -61,8 +61,9 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            s.spawn(|| {
+            workers.push(s.spawn(|| {
                 let mut scratch = init();
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -72,8 +73,9 @@ where
                     let r = f(&mut scratch, &items[i]);
                     *slots[i].lock().unwrap() = Some(r);
                 }
-            });
+            }));
         }
+        join_all(workers);
     });
     slots
         .into_iter()
@@ -100,21 +102,40 @@ where
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
+        let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            s.spawn(|| loop {
+            workers.push(s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
                 let r = f(i, &items[i]);
                 *slots[i].lock().unwrap() = Some(r);
-            });
+            }));
         }
+        join_all(workers);
     });
     slots
         .into_iter()
         .map(|m| m.into_inner().unwrap().expect("worker completed every claimed task"))
         .collect()
+}
+
+/// Join every worker, then re-raise the first worker panic. The scope's
+/// implicit wait returns as soon as each closure has finished, before the
+/// thread's thread-local destructors run; an explicit `join` waits for
+/// the thread to exit, so per-thread state flushed by those destructors
+/// (telemetry shards) is complete when the map returns.
+fn join_all(workers: Vec<std::thread::ScopedJoinHandle<'_, ()>>) {
+    let mut panic = None;
+    for w in workers {
+        if let Err(p) = w.join() {
+            panic.get_or_insert(p);
+        }
+    }
+    if let Some(p) = panic {
+        std::panic::resume_unwind(p);
+    }
 }
 
 #[cfg(test)]

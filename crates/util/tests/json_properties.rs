@@ -179,6 +179,17 @@ fn deeply_nested_but_balanced_input_parses() {
     assert_eq!(doc, Json::Int(1));
 }
 
+#[test]
+fn hostile_nesting_depth_is_an_error_not_a_stack_overflow() {
+    // 300,000 levels: far past any stack's reach if the reader (or the
+    // drop of the tree it builds) recursed once per level.
+    let depth = 300_000;
+    let src = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let err = parse(&src).expect_err("absurd nesting must be rejected");
+    assert!(err.offset < src.len());
+    assert!(!err.to_string().is_empty());
+}
+
 /// A document of `records` objects whose string values mix ASCII runs,
 /// 2-, 3- and 4-byte UTF-8 scalars and escapes.
 fn multibyte_document(records: usize) -> String {
