@@ -21,7 +21,7 @@ fn subset() -> Vec<AppSpec> {
 }
 
 fn main() {
-    let dir = std::env::temp_dir().join(format!("triad-db-store-bench-{}", std::process::id()));
+    let dir = triad_util::fs::unique_temp_path("db-store-bench");
     let _ = std::fs::remove_dir_all(&dir);
     let store = DbStore::new(&dir);
     let apps = subset();

@@ -16,7 +16,7 @@ fn db_cache() -> PathBuf {
 }
 
 fn work_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("triad-kill-resume-{tag}-{}", std::process::id()));
+    let dir = triad_util::fs::unique_temp_path(&format!("kill-resume-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir

@@ -338,8 +338,7 @@ mod tests {
     #[test]
     fn save_and_load_round_trip() {
         let t = sampled();
-        let path = std::env::temp_dir()
-            .join(format!("triad-energy-table-test-{}.json", std::process::id()));
+        let path = triad_util::fs::unique_temp_path("energy-table-test.json");
         let path = path.to_str().unwrap().to_string();
         t.save(&path).unwrap();
         let back = TableBackend::load(&path).unwrap();

@@ -27,8 +27,7 @@ fn wobbly_table_json_path(tag: &str) -> String {
         }
         pts.sort_by(|a, b| a.freq_hz.total_cmp(&b.freq_hz));
     }
-    let path = std::env::temp_dir()
-        .join(format!("triad-backend-properties-{}-{tag}.json", std::process::id()));
+    let path = triad_util::fs::unique_temp_path(&format!("backend-properties-{tag}.json"));
     let path = path.to_str().unwrap().to_string();
     t.save(&path).unwrap();
     path

@@ -245,8 +245,7 @@ mod tests {
     }
 
     fn temp_store(tag: &str) -> DbStore {
-        let dir = std::env::temp_dir()
-            .join(format!("triad-phasedb-store-test-{tag}-{}", std::process::id()));
+        let dir = triad_util::fs::unique_temp_path(&format!("phasedb-store-test-{tag}"));
         let _ = std::fs::remove_dir_all(&dir);
         DbStore::new(dir)
     }

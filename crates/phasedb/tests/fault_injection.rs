@@ -24,8 +24,7 @@ fn test_apps() -> Vec<AppSpec> {
 }
 
 fn temp_store(tag: &str) -> DbStore {
-    let dir =
-        std::env::temp_dir().join(format!("triad-phasedb-fault-test-{tag}-{}", std::process::id()));
+    let dir = triad_util::fs::unique_temp_path(&format!("phasedb-fault-test-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     DbStore::new(dir)
 }

@@ -43,7 +43,7 @@ pub mod qos;
 pub use global::{
     optimize_partition, reduce_curves, reduce_curves_at, reduce_curves_into, EnergyCurve,
 };
-pub use local::{local_optimize, local_optimize_into, IntervalModel, LocalPlan, RmKind};
+pub use local::{local_optimize, IntervalModel, LocalPlan, RmKind};
 pub use model::{ModelKind, Observation, OnlineModel};
 pub use planner::{plan_system, DecisionMemo, PlanView, PlannerState, RmDecision};
 pub use qos::{qos_ok, violation_magnitude};

@@ -52,14 +52,8 @@ impl RmKind {
         }
     }
 
-    /// Core sizes this controller may select.
-    pub fn core_choices(self, baseline: CoreSize) -> Vec<CoreSize> {
-        let (buf, n) = self.core_choice_array(baseline);
-        buf[..n].to_vec()
-    }
-
-    /// [`RmKind::core_choices`] without the allocation: the choices in a
-    /// fixed-capacity array plus the live count, in the same order.
+    /// Core sizes this controller may select, in [`CoreSize::ALL`] order:
+    /// a fixed-capacity array plus the live count (no allocation).
     pub fn core_choice_array(self, baseline: CoreSize) -> ([CoreSize; CoreSize::COUNT], usize) {
         let mut buf = [baseline; CoreSize::COUNT];
         let mut n = 0;
@@ -147,28 +141,6 @@ pub fn local_optimize(
     way_range: std::ops::RangeInclusive<usize>,
     alpha: f64,
 ) -> LocalPlan {
-    let min_w = *way_range.start();
-    let n = way_range.end() - min_w + 1;
-    let mut out =
-        LocalPlan { min_w, energy: vec![f64::INFINITY; n], setting: vec![None; n], ops: 0 };
-    local_optimize_into(model, kind, baseline, grid, way_range, alpha, &mut out);
-    out
-}
-
-/// [`local_optimize`] into a caller-owned plan, so a steady-state RM
-/// invocation performs no heap allocation: `out`'s buffers are reused
-/// (they must already span `way_range`) and every field is overwritten.
-/// Results are bit-identical to [`local_optimize`] — same models queried
-/// in the same order, same `ops` count.
-pub fn local_optimize_into(
-    model: &dyn IntervalModel,
-    kind: RmKind,
-    baseline: Setting,
-    grid: &DvfsGrid,
-    way_range: std::ops::RangeInclusive<usize>,
-    alpha: f64,
-    out: &mut LocalPlan,
-) {
     let mut ops: u64 = 0;
     // Predicted baseline time is the QoS budget (Eq. 3 uses the *model* for
     // both sides, so model bias partially cancels).
@@ -177,11 +149,8 @@ pub fn local_optimize_into(
 
     let min_w = *way_range.start();
     let n = way_range.end() - min_w + 1;
-    assert_eq!(out.energy.len(), n, "plan buffers must span the way range");
-    assert_eq!(out.setting.len(), n);
-    out.min_w = min_w;
-    let energy = &mut out.energy;
-    let setting = &mut out.setting;
+    let mut energy = vec![f64::INFINITY; n];
+    let mut setting = vec![None; n];
 
     let (choices, n_choices) = kind.core_choice_array(baseline.core);
     for w in way_range {
@@ -219,7 +188,7 @@ pub fn local_optimize_into(
         energy[w - min_w] = best_e;
         setting[w - min_w] = best_s;
     }
-    out.ops = ops;
+    LocalPlan { min_w, energy, setting, ops }
 }
 
 #[cfg(test)]

@@ -1084,8 +1084,7 @@ mod tests {
 
     #[test]
     fn store_resolved_rows_are_byte_identical_to_a_fresh_build() {
-        let dir =
-            std::env::temp_dir().join(format!("triad-campaign-cached-test-{}", std::process::id()));
+        let dir = triad_util::fs::unique_temp_path("campaign-cached-test");
         let _ = std::fs::remove_dir_all(&dir);
         let store = DbStore::new(&dir);
         let cfg = DbConfig::fast();

@@ -13,17 +13,26 @@
 //! (the paper's 4146B; applications restart when they finish early), and
 //! the uncore (LLC + NoC) energy accrues until the end of the simulation.
 //!
-//! Planning is incremental: each run holds a persistent
-//! [`triad_rm::PlannerState`] (the reduction forest) plus a decision memo
-//! keyed by the joint occupant signature, wrapped in the private
-//! `RunPlanner`. An RM invocation updates exactly one leaf in place and
-//! re-reduces only its O(log n) ancestors — or skips the reduction
-//! entirely when the joint state was seen before — producing decisions
-//! (settings, predicted energy *and* reported `ops`) byte-identical to
-//! the from-scratch `plan_system` formulation.
+//! Planning is incremental and memoized at two levels, both wrapped in the
+//! private `RunPlanner`:
+//!
+//! * **Local plans.** A core's local plan is a function of its slot
+//!   signature (application, phase, observed setting) and the run-fixed
+//!   configuration only, so each run computes it once per distinct
+//!   signature and caches it; a repeat is a copy into the planner leaf.
+//! * **Decisions.** A persistent [`triad_rm::PlannerState`] (the reduction
+//!   forest) plus a decision memo keyed by the joint occupant signature.
+//!   An RM invocation updates exactly one leaf in place and re-reduces
+//!   only its O(log n) ancestors — or skips the reduction entirely when
+//!   the joint state was seen before.
+//!
+//! Decisions (settings, predicted energy *and* reported `ops`) are
+//! byte-identical to re-running `local_optimize` and `plan_system` from
+//! first principles at every invocation.
 
 use crate::finish::FinishQueue;
 use crate::perfect::PerfectModel;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use triad_arch::{
     CoreId, CoreSize, Setting, SystemConfig, DVFS_TRANSITION_ENERGY_J, DVFS_TRANSITION_TIME_S,
@@ -32,8 +41,8 @@ use triad_energy::{resize_drain_time_s, EnergyBackend, EnergyModel};
 use triad_mem::DramParams;
 use triad_phasedb::{AppDbEntry, PhaseDb, PhaseRecord};
 use triad_rm::{
-    local_optimize_into, DecisionMemo, LocalPlan, ModelKind, Observation, OnlineModel, PlanView,
-    PlannerState, RmKind,
+    local_optimize, DecisionMemo, IntervalModel, LocalPlan, ModelKind, Observation, OnlineModel,
+    PlanView, PlannerState, RmKind,
 };
 use triad_telemetry::{Counter, Histogram, SpanName};
 use triad_workload::{EventKind, WorkloadTrace};
@@ -42,6 +51,10 @@ static RUN_SPAN: SpanName = SpanName::new("sim.run");
 static RM_INVOCATIONS: Counter = Counter::new("sim.rm_invocations");
 static MEMO_HITS: Counter = Counter::new("sim.memo_hits");
 static MEMO_MISSES: Counter = Counter::new("sim.memo_misses");
+static PLAN_CACHE_HITS: Counter = Counter::new("sim.plan_cache_hits");
+static PLAN_CACHE_MISSES: Counter = Counter::new("sim.plan_cache_misses");
+static LOCAL_PLAN_SPAN: SpanName = SpanName::new("rm.local_plan");
+static REPLAN_SPAN: SpanName = SpanName::new("rm.replan");
 static REPLAN_DIRTY_NODES: Histogram = Histogram::new("sim.replan_dirty_nodes");
 static FINISH_UPDATES: Counter = Counter::new("sim.finish_updates");
 static ARRIVALS: Counter = Counter::new("sim.arrivals");
@@ -205,9 +218,9 @@ impl<'a> Core<'a> {
 }
 
 /// What one planner leaf currently holds — the memo-key component for one
-/// core slot. Together with the run-fixed configuration (`RmKind`, model,
-/// α, grids, backend) a signature vector fully determines every leaf
-/// curve, hence the whole decision.
+/// core slot, and the local-plan cache key. Together with the run-fixed
+/// configuration (`RmKind`, model, α, grids, backend) a signature vector
+/// fully determines every leaf curve, hence the whole decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum SlotSig {
     /// Vacant, or occupied with no completed interval: the baseline-pinned
@@ -221,16 +234,19 @@ enum SlotSig {
 }
 
 /// Per-run planning state: the persistent reduction forest, the decision
-/// memo over joint occupant signatures, and a scratch [`LocalPlan`] the
-/// model refresh writes into (one allocation per run, reused per
-/// invocation). Run-local, so campaign-level parallelism is untouched.
+/// memo over joint occupant signatures, and the local-plan cache over
+/// single-slot signatures. Run-local, so campaign-level parallelism is
+/// untouched.
 struct RunPlanner {
     state: PlannerState,
     memo: DecisionMemo<Vec<SlotSig>>,
     /// Current signature per core slot (the memo key).
     sig: Vec<SlotSig>,
-    /// Buffer for the finishing core's freshly computed local plan.
-    scratch: LocalPlan,
+    /// Every local plan computed this run, keyed by the signature it is a
+    /// function of ([`Simulator::local_plan`] reads nothing else).
+    plans: HashMap<SlotSig, LocalPlan>,
+    plan_hits: u64,
+    plan_misses: u64,
 }
 
 impl RunPlanner {
@@ -240,14 +256,10 @@ impl RunPlanner {
             state: PlannerState::new(sys.n_cores, sys.way_range(), sys.total_ways(), baseline),
             memo: DecisionMemo::new(),
             sig: vec![SlotSig::Pinned; sys.n_cores],
-            scratch: LocalPlan::pinned(sys.way_range(), baseline),
+            plans: HashMap::new(),
+            plan_hits: 0,
+            plan_misses: 0,
         }
-    }
-
-    /// Install the scratch plan as core `j`'s leaf under signature `sig`.
-    fn set_planned(&mut self, j: CoreId, sig: SlotSig) {
-        self.state.set_leaf(j, &self.scratch);
-        self.sig[j] = sig;
     }
 
     /// Reset core `j` to the shared pinned-baseline plan (vacated slot or
@@ -265,7 +277,10 @@ impl RunPlanner {
     fn decide(&mut self) -> PlanView<'_> {
         if self.memo.get(self.sig.as_slice()).is_none() {
             MEMO_MISSES.incr();
-            let view = self.state.replan();
+            let view = {
+                let _span = REPLAN_SPAN.enter();
+                self.state.replan()
+            };
             self.memo.insert(self.sig.clone(), view);
             REPLAN_DIRTY_NODES.observe(self.state.last_reduced_nodes());
         } else {
@@ -337,77 +352,63 @@ impl<'a> Simulator<'a> {
         self.run_trace(&WorkloadTrace::steady(app_names))
     }
 
-    /// The model refresh of one RM invocation: read the just-completed
-    /// interval's monitor statistics (or, under perfect assumptions, the
-    /// next phase's ground truth) and run the local optimization into the
-    /// caller's buffer. Returns the slot signature identifying the plan —
-    /// everything it depends on beyond the run-fixed configuration.
-    fn local_plan_into(
-        &self,
-        core: &Core<'a>,
-        kind: RmKind,
-        baseline: Setting,
-        out: &mut LocalPlan,
-    ) -> SlotSig {
-        // The interval just completed ran (mostly) at `interval_setting`;
-        // its monitor statistics are what the RM reads. The phase that just
-        // executed is at seq_pos − 1.
-        let just = core.seq_pos - 1;
-        let phase = core.entry.spec.sequence[just % core.entry.spec.sequence.len()];
-        let rec: &PhaseRecord = &core.entry.records[phase];
-
+    /// The slot signature of core `core`'s model refresh: which phase
+    /// record the RM reads and at which setting. The interval just
+    /// completed ran (mostly) at `interval_setting`; its monitor
+    /// statistics are what an online model reads, and that phase sits at
+    /// `seq_pos − 1`. Under perfect assumptions the *next* interval's phase
+    /// (at `seq_pos`) is known and the plan does not read the current
+    /// setting, so the signature pins it to the baseline.
+    fn slot_sig(&self, core: &Core<'a>, baseline: Setting) -> SlotSig {
+        let seq = &core.entry.spec.sequence;
+        let app = core.app_id;
         match self.cfg.model {
-            SimModel::Online(mk) => {
-                let cur = core.interval_setting;
-                let vf = self.sys.dvfs.point(cur.vf);
-                let util = rec.util(cur.core, vf.freq_hz, cur.ways);
-                let sampled_dyn = self.em.core_dynamic_power(cur.core, vf, util);
-                let model = OnlineModel {
-                    obs: Observation {
-                        stats: rec.monitor_at(cur.core, cur.ways),
-                        miss_curve_pi: &rec.miss_curve_pi,
-                        load_miss_curve_pi: &rec.load_miss_curve_pi,
-                        current: cur,
-                        sampled_dyn_w: sampled_dyn,
-                    },
-                    kind: mk,
-                    grid: &self.sys.dvfs,
-                    energy: self.em.as_ref(),
-                    lmem_s: self.lmem_s,
-                };
-                local_optimize_into(
-                    &model,
-                    kind,
-                    baseline,
-                    &self.sys.dvfs,
-                    self.sys.way_range(),
-                    self.cfg.alpha,
-                    out,
-                );
-                SlotSig::Planned { app: core.app_id, phase: phase as u32, setting: cur }
+            SimModel::Online(_) => {
+                let phase = seq[(core.seq_pos - 1) % seq.len()] as u32;
+                SlotSig::Planned { app, phase, setting: core.interval_setting }
             }
             SimModel::Perfect => {
-                // Perfect assumptions: the *next* interval's phase is known.
-                // The plan does not read the current setting, so the
-                // signature pins it to the baseline.
-                let next_phase =
-                    core.entry.spec.sequence[core.seq_pos % core.entry.spec.sequence.len()];
-                let model = PerfectModel {
-                    next: &core.entry.records[next_phase],
-                    grid: &self.sys.dvfs,
-                    energy: self.em.as_ref(),
-                };
-                local_optimize_into(
-                    &model,
-                    kind,
-                    baseline,
-                    &self.sys.dvfs,
-                    self.sys.way_range(),
-                    self.cfg.alpha,
-                    out,
-                );
-                SlotSig::Planned { app: core.app_id, phase: next_phase as u32, setting: baseline }
+                let phase = seq[core.seq_pos % seq.len()] as u32;
+                SlotSig::Planned { app, phase, setting: baseline }
             }
+        }
+    }
+
+    /// The local optimization for one planned slot, a function of its
+    /// signature `(app, phase, setting)` alone (plus the run-fixed
+    /// configuration), which is what lets [`RunPlanner`] cache it.
+    fn local_plan(
+        &self,
+        kind: RmKind,
+        baseline: Setting,
+        app: u32,
+        phase: u32,
+        setting: Setting,
+    ) -> LocalPlan {
+        let rec: &PhaseRecord = &self.db.apps[app as usize].records[phase as usize];
+        let grid = &self.sys.dvfs;
+        let plan = |model: &dyn IntervalModel| {
+            local_optimize(model, kind, baseline, grid, self.sys.way_range(), self.cfg.alpha)
+        };
+        match self.cfg.model {
+            SimModel::Online(mk) => {
+                let vf = grid.point(setting.vf);
+                let util = rec.util(setting.core, vf.freq_hz, setting.ways);
+                plan(&OnlineModel {
+                    obs: Observation {
+                        stats: rec.monitor_at(setting.core, setting.ways),
+                        miss_curve_pi: &rec.miss_curve_pi,
+                        load_miss_curve_pi: &rec.load_miss_curve_pi,
+                        current: setting,
+                        sampled_dyn_w: self.em.core_dynamic_power(setting.core, vf, util),
+                    },
+                    kind: mk,
+                    grid,
+                    energy: self.em.as_ref(),
+                    lmem_s: self.lmem_s,
+                })
+            }
+            SimModel::Perfect => plan(&PerfectModel { next: rec, grid, energy: self.em.as_ref() }),
         }
     }
 
@@ -535,9 +536,23 @@ impl<'a> Simulator<'a> {
         kind: RmKind,
         baseline: Setting,
     ) -> u64 {
-        let finishing = cores[j].as_ref().expect("finishing core is occupied");
-        let sig = self.local_plan_into(finishing, kind, baseline, &mut planner.scratch);
-        planner.set_planned(j, sig);
+        let sig = self.slot_sig(cores[j].as_ref().expect("finishing core is occupied"), baseline);
+        let plan = match planner.plans.entry(sig) {
+            Entry::Occupied(hit) => {
+                planner.plan_hits += 1;
+                hit.into_mut()
+            }
+            Entry::Vacant(miss) => {
+                planner.plan_misses += 1;
+                let SlotSig::Planned { app, phase, setting } = sig else {
+                    unreachable!("a model refresh always yields a planned signature")
+                };
+                let _span = LOCAL_PLAN_SPAN.enter();
+                miss.insert(self.local_plan(kind, baseline, app, phase, setting))
+            }
+        };
+        planner.state.set_leaf(j, plan);
+        planner.sig[j] = sig;
         let ops = self.replan(cores, planner, Some(j));
         // The new interval of the finishing core starts at the new setting.
         let c = cores[j].as_mut().expect("finishing core is occupied");
@@ -589,6 +604,12 @@ impl<'a> Simulator<'a> {
     ///   run ends once every application reaches the target instruction
     ///   count.
     pub fn run_trace(&self, trace: &WorkloadTrace) -> SimResult {
+        self.run_planned(trace).0
+    }
+
+    /// [`Simulator::run_trace`], also handing back the run's planner so
+    /// tests can inspect its local-plan cache.
+    fn run_planned(&self, trace: &WorkloadTrace) -> (SimResult, RunPlanner) {
         let _span = RUN_SPAN.enter();
         trace.validate().unwrap_or_else(|e| panic!("invalid workload trace: {e}"));
         assert_eq!(trace.n_cores, self.sys.n_cores, "trace width must match the system");
@@ -708,11 +729,13 @@ impl<'a> Simulator<'a> {
         ARRIVALS.add(arrivals);
         DEPARTURES.add(departures);
         VACANCY_FFWD.add(vacancy_ffwds);
+        PLAN_CACHE_HITS.add(planner.plan_hits);
+        PLAN_CACHE_MISSES.add(planner.plan_misses);
         for c in cores.into_iter().flatten() {
             fold.absorb(&c);
         }
         let uncore = self.em.uncore_energy(self.sys.n_cores, now);
-        SimResult {
+        let result = SimResult {
             total_energy_j: fold.energy_j + vacancy_j + uncore,
             core_mem_energy_j: fold.energy_j,
             uncore_energy_j: uncore,
@@ -729,7 +752,8 @@ impl<'a> Simulator<'a> {
             arrivals,
             departures,
             vacancy_energy_j: vacancy_j,
-        }
+        };
+        (result, planner)
     }
 }
 
@@ -929,6 +953,70 @@ mod tests {
         let idle = Simulator::new(&db, 2, idle_cfg).run_trace(&trace);
         assert_eq!(idle.rm_invocations, 0);
         assert!(idle.total_energy_j > 0.0);
+    }
+
+    /// The local-plan cache is sound: every cached plan equals one
+    /// recomputed with `local_optimize` from its signature alone, each
+    /// distinct signature is computed once, and every model refresh (an
+    /// RM invocation that is not an event-only re-plan) goes through it.
+    #[test]
+    fn plan_cache_holds_pure_functions_of_the_slot_signature() {
+        let db = small_db();
+        let trace = churn_trace();
+        let mut batch_at: Vec<u64> = trace.events.iter().map(|e| e.at).collect();
+        batch_at.sort_unstable();
+        batch_at.dedup();
+        let event_replans = batch_at.len() as u64;
+        let bits = |p: &LocalPlan| p.energy.iter().map(|e| e.to_bits()).collect::<Vec<_>>();
+        for model in [SimModel::Online(ModelKind::Model3), SimModel::Perfect] {
+            let sim = Simulator::new(&db, 2, quick(SimConfig::evaluation(RmKind::Rm3, model)));
+            let (r, planner) = sim.run_planned(&trace);
+            let baseline = sim.sys.baseline_setting();
+            let grid = &sim.sys.dvfs;
+            let em = sim.em.as_ref();
+            for (sig, plan) in &planner.plans {
+                let SlotSig::Planned { app, phase, setting } = *sig else {
+                    panic!("pinned slots are never cached")
+                };
+                let rec = &db.apps[app as usize].records[phase as usize];
+                let (ways, alpha) = (sim.sys.way_range(), sim.cfg.alpha);
+                let fresh = |m: &dyn IntervalModel| {
+                    local_optimize(m, RmKind::Rm3, baseline, grid, ways, alpha)
+                };
+                let fresh = match model {
+                    SimModel::Online(mk) => {
+                        let vf = grid.point(setting.vf);
+                        let util = rec.util(setting.core, vf.freq_hz, setting.ways);
+                        fresh(&OnlineModel {
+                            obs: Observation {
+                                stats: rec.monitor_at(setting.core, setting.ways),
+                                miss_curve_pi: &rec.miss_curve_pi,
+                                load_miss_curve_pi: &rec.load_miss_curve_pi,
+                                current: setting,
+                                sampled_dyn_w: em.core_dynamic_power(setting.core, vf, util),
+                            },
+                            kind: mk,
+                            grid,
+                            energy: em,
+                            lmem_s: sim.lmem_s,
+                        })
+                    }
+                    SimModel::Perfect => {
+                        assert_eq!(setting, baseline, "perfect plans pin the setting");
+                        fresh(&PerfectModel { next: rec, grid, energy: em })
+                    }
+                };
+                assert_eq!(plan.min_w, fresh.min_w, "{sig:?}");
+                assert_eq!(bits(plan), bits(&fresh), "{sig:?}");
+                assert_eq!(plan.setting, fresh.setting, "{sig:?}");
+                assert_eq!(plan.ops, fresh.ops, "{sig:?}");
+            }
+            assert_eq!(planner.plan_misses as usize, planner.plans.len());
+            let refreshes = planner.plan_hits + planner.plan_misses;
+            assert_eq!(refreshes, r.rm_invocations - event_replans);
+            assert_eq!(refreshes, trace.horizon.unwrap(), "one refresh per completed interval");
+            assert!(planner.plan_hits > 0, "{model:?}: a churny trace revisits signatures");
+        }
     }
 
     #[test]

@@ -279,7 +279,7 @@ mod tests {
     use super::*;
 
     fn temp_path(tag: &str) -> PathBuf {
-        std::env::temp_dir().join(format!("triad-journal-test-{tag}-{}.jsonl", std::process::id()))
+        triad_util::fs::unique_temp_path(&format!("journal-test-{tag}.jsonl"))
     }
 
     fn row(i: i64) -> Json {

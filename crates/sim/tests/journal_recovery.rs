@@ -37,7 +37,7 @@ fn quick_specs() -> Vec<ExperimentSpec> {
 }
 
 fn temp_journal(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("triad-journal-test-{tag}-{}.jsonl", std::process::id()))
+    triad_util::fs::unique_temp_path(&format!("journal-test-{tag}.jsonl"))
 }
 
 #[test]

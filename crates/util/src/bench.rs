@@ -228,7 +228,7 @@ mod tests {
     }
 
     fn temp_jsonl(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("triad-bench-test-{}-{tag}.jsonl", std::process::id()))
+        crate::fs::unique_temp_path(&format!("bench-test-{tag}.jsonl"))
     }
 
     #[test]

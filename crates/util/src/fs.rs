@@ -50,3 +50,31 @@ fn temp_path(path: &Path) -> PathBuf {
     name.push(format!(".tmp.{}.{seq}", std::process::id()));
     path.with_file_name(name)
 }
+
+/// A fresh path in the system temp directory, `triad-<pid>-<seq>-<tag>`,
+/// for tests and benches that need a scratch file or directory. The
+/// sequence number is a process-wide counter, so every call returns a
+/// distinct path: concurrently running tests never share one, and a
+/// second process cannot collide with the first. `tag` comes last, so it
+/// may carry a file extension. Nothing is created on disk.
+pub fn unique_temp_path(tag: &str) -> PathBuf {
+    static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("triad-{}-{seq}-{tag}", std::process::id()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unique_temp_paths_differ_per_call_and_keep_the_tag() {
+        let a = unique_temp_path("x.json");
+        let b = unique_temp_path("x.json");
+        assert_ne!(a, b);
+        assert_eq!(a.parent(), Some(std::env::temp_dir().as_path()));
+        for p in [&a, &b] {
+            assert!(p.to_str().unwrap().ends_with("-x.json"), "{}", p.display());
+        }
+    }
+}

@@ -24,7 +24,7 @@ fn store_artifact_digest_is_unchanged() {
     let names = ["mcf", "libquantum", "povray"];
     let apps: Vec<AppSpec> =
         triad::trace::suite().iter().filter(|a| names.contains(&a.name)).cloned().collect();
-    let dir = std::env::temp_dir().join(format!("triad-db-store-digest-{}", std::process::id()));
+    let dir = triad_util::fs::unique_temp_path("db-store-digest");
     let _ = std::fs::remove_dir_all(&dir);
     let resolved = DbStore::new(&dir).resolve(&apps, &DbConfig::fast());
     let bytes = std::fs::read(&resolved.path).unwrap();
@@ -49,7 +49,7 @@ fn report(db: &triad::phasedb::PhaseDb) -> String {
 
 #[test]
 fn persist_reload_replays_bit_exactly_and_corruption_falls_back() {
-    let dir = std::env::temp_dir().join(format!("triad-db-store-roundtrip-{}", std::process::id()));
+    let dir = triad_util::fs::unique_temp_path("db-store-roundtrip");
     let _ = std::fs::remove_dir_all(&dir);
     let store = DbStore::new(&dir);
     let cfg = DbConfig::fast();
@@ -96,7 +96,7 @@ fn persist_reload_replays_bit_exactly_and_corruption_falls_back() {
 
 #[test]
 fn store_resolves_exactly_the_apps_the_campaign_needs() {
-    let dir = std::env::temp_dir().join(format!("triad-db-store-required-{}", std::process::id()));
+    let dir = triad_util::fs::unique_temp_path("db-store-required");
     let _ = std::fs::remove_dir_all(&dir);
     let store = DbStore::new(&dir);
     let cfg = DbConfig::fast();

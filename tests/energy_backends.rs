@@ -81,8 +81,7 @@ fn default_backend_reproduces_pre_refactor_rows_byte_identically() {
 #[test]
 fn alternative_backends_run_end_to_end_and_change_the_rows() {
     let db = db();
-    let table_path =
-        std::env::temp_dir().join(format!("triad-backend-test-table-{}.json", std::process::id()));
+    let table_path = triad_util::fs::unique_temp_path("backend-test-table.json");
     let table_path = table_path.to_str().unwrap().to_string();
     // A genuinely different "measurement": 20 % leakier than the model.
     let mut table = TableBackend::sampled_from(
@@ -141,8 +140,7 @@ fn phase_db_fingerprint_is_independent_of_the_energy_backend() {
 
     // ...so campaigns under different backends must resolve to the same
     // persisted artifact: one store file serves every backend.
-    let dir =
-        std::env::temp_dir().join(format!("triad-backend-fingerprint-test-{}", std::process::id()));
+    let dir = triad_util::fs::unique_temp_path("backend-fingerprint-test");
     let _ = std::fs::remove_dir_all(&dir);
     let store = DbStore::new(&dir);
     let mut paths = Vec::new();

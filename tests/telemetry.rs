@@ -28,7 +28,7 @@ fn campaign() -> Campaign {
 }
 
 fn store_bytes(tag: &str) -> Vec<u8> {
-    let dir = std::env::temp_dir().join(format!("triad-telemetry-{tag}-{}", std::process::id()));
+    let dir = triad_util::fs::unique_temp_path(&format!("telemetry-{tag}"));
     let _ = std::fs::remove_dir_all(&dir);
     let resolved = DbStore::new(&dir).resolve(&apps(), &DbConfig::fast());
     let bytes = std::fs::read(&resolved.path).unwrap();
