@@ -2,7 +2,9 @@
 //! global curve reduction) versus core count and controller, plus the PR 7
 //! warm-path gates: the persistent-forest incremental re-plan must beat the
 //! from-scratch reduction by ≥2× at 8 cores (1.5× under short CI smoke
-//! budgets) and must not allocate on the steady-state path.
+//! budgets) and must not allocate on the steady-state path. The
+//! `rm_reduce/*` pair times one 29×29 pair-node reduction in select form
+//! against the per-sum scan; `bench_check` tracks their ratio.
 //!
 //! Run with `cargo bench -p triad-bench --bench rm_overhead`.
 
@@ -12,17 +14,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 use triad_arch::{DvfsGrid, Setting, SystemConfig};
 use triad_rm::{
-    local_optimize, plan_system, DecisionMemo, IntervalModel, LocalPlan, PlannerState, RmKind,
+    local_optimize, plan_system, reduce_curves, reduce_curves_at, reduce_curves_into, EnergyCurve,
+    IntervalModel, LocalPlan, PlannerState, RmKind,
 };
 use triad_util::bench::{bench, budget_from_env, speedup_gate};
 
-/// Recorded on the reference dev box (2026-08-07, release build): one
-/// incremental 8-core RM3 re-plan (single leaf update, O(log n) path
-/// re-reduction, budget-entry-only root) costs ~3.6 µs; the from-scratch
-/// clone-and-rebuild path this PR replaced cost ~21 µs (a ~5.9× measured
-/// speedup). Only a >50× regression fails — the hard perf contract is the
-/// in-process speedup gate below.
-const RECORDED_INCREMENTAL_NS_PER_REPLAN: f64 = 3_600.0;
+/// Recorded on a 2-vCPU x86-64 host (2026-10-18, release build,
+/// `TRIAD_BENCH_BUDGET_MS=250`): one incremental 8-core RM3 re-plan
+/// (single leaf update, O(log n) path re-reduction in select form,
+/// budget-entry-only root) costs ~0.94–1.27 µs over three runs; the
+/// from-scratch clone-and-rebuild path costs ~5.7–6.6 µs (5.2–6.3×). Only
+/// a >50× regression fails — the hard perf contract is the in-process
+/// speedup gate below.
+const RECORDED_INCREMENTAL_NS_PER_REPLAN: f64 = 1_100.0;
 
 /// Global allocator that counts every allocation call, so the zero-alloc
 /// claim on the steady-state re-plan path is checked, not asserted in
@@ -161,24 +165,44 @@ fn main() {
          {RECORDED_INCREMENTAL_NS_PER_REPLAN:.0}"
     );
 
+    // ---- One pair-node reduction: select form vs per-sum scan ----
+    // The 29×29 node is the 8-core tree's second level (two reduced pairs
+    // of 15-way leaves). The per-sum scan is the loop shape the select
+    // form replaced: every sum evaluated on its own through
+    // `reduce_curves_at`, writing the same output buffers.
+    println!("\nrm_reduce: one 29x29 pair-node reduction");
+    let leaf = |p: &LocalPlan| EnergyCurve { min_w: p.min_w, energy: p.energy.clone() };
+    let (a29, _, _) = reduce_curves(&leaf(&plan_a), &leaf(&plan_b));
+    let (b29, _, _) = reduce_curves(&leaf(&plan_b), &leaf(&plan_a));
+    let min_s = a29.min_w + b29.min_w;
+    let len = a29.energy.len() + b29.energy.len() - 1;
+    let (mut sel_e, mut sel_c) = (vec![0.0; len], vec![0usize; len]);
+    bench("rm_reduce/select_29x29", None, budget, || {
+        let a = black_box(&a29.energy);
+        black_box(reduce_curves_into(a29.min_w, a, &b29.energy, &mut sel_e, &mut sel_c));
+    });
+    let (mut scan_e, mut scan_c) = (vec![0.0; len], vec![0usize; len]);
+    bench("rm_reduce/per_s_scan_29x29", None, budget, || {
+        let a = black_box(&a29.energy);
+        for (k, (e, c)) in scan_e.iter_mut().zip(scan_c.iter_mut()).enumerate() {
+            (*e, *c) = reduce_curves_at(a29.min_w, a, b29.min_w, &b29.energy, min_s + k)
+                .expect("every sum is in the joint domain");
+        }
+        black_box(&scan_e);
+    });
+    assert!(
+        sel_e.iter().zip(&scan_e).all(|(x, y)| x.to_bits() == y.to_bits()) && sel_c == scan_c,
+        "select-form and per-sum reductions must agree bit for bit"
+    );
+
     // ---- PR 7 gate: the steady-state re-plan path allocates nothing ----
     // Outside `bench()` (which prints and appends JSON): alternate the leaf
-    // between two warmed plans, re-plan, and probe the decision memo with a
-    // borrowed key — the whole warm path the engine runs per RM event.
-    let mut memo: DecisionMemo<Vec<u64>> = DecisionMemo::new();
-    let key_a: Vec<u64> = vec![0, 3];
-    let key_b: Vec<u64> = vec![1, 3];
-    state.set_leaf(3, &plan_a);
-    memo.insert(key_a.clone(), state.replan());
-    state.set_leaf(3, &plan_b);
-    memo.insert(key_b.clone(), state.replan());
+    // between two warmed plans and re-plan — the whole warm path the
+    // engine runs per RM event.
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for i in 0..1_000u64 {
-        let (plan, key) = if i % 2 == 0 { (&plan_a, &key_a) } else { (&plan_b, &key_b) };
-        state.set_leaf(3, plan);
+        state.set_leaf(3, if i % 2 == 0 { &plan_a } else { &plan_b });
         black_box(state.replan().predicted_energy);
-        let hit = memo.get(key.as_slice()).expect("warmed joint state must hit the memo");
-        black_box(hit.ops);
     }
     let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(

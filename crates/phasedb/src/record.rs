@@ -157,7 +157,7 @@ impl PhaseDb {
 
     /// Look up an application by name, also returning its stable index in
     /// build order — a compact identity for callers that key caches by
-    /// application (e.g. the simulator's RM decision memo).
+    /// application (e.g. the simulator's per-run local-plan cache).
     pub fn app_entry(&self, name: &str) -> Option<(usize, &AppDbEntry)> {
         self.apps.iter().enumerate().find(|(_, a)| a.spec.name == name)
     }

@@ -67,59 +67,62 @@ pub fn reduce_curves(a: &EnergyCurve, b: &EnergyCurve) -> (EnergyCurve, Vec<usiz
     let len = a.energy.len() + b.energy.len() - 1;
     let mut energy = vec![f64::INFINITY; len];
     let mut choice = vec![a.min_w; len];
-    let ops = reduce_curves_into(a.min_w, &a.energy, b.min_w, &b.energy, &mut energy, &mut choice);
+    let ops = reduce_curves_into(a.min_w, &a.energy, &b.energy, &mut energy, &mut choice);
     (EnergyCurve { min_w: min_s, energy }, choice, ops)
 }
 
-/// The allocation-free core of [`reduce_curves`]: combine two raw curves
-/// (each a `min_w` plus a dense energy slice) into caller-owned output
-/// buffers, resetting them first. `energy` and `choice` must both have
-/// length `a.len() + b.len() - 1` (the combined domain). Returns the
-/// inner-iteration count — the §III-E overhead proxy, a pure function of
-/// the two domain shapes.
+/// The allocation-free core of [`reduce_curves`]: combine two dense energy
+/// slices into caller-owned output buffers, resetting them first. Entry
+/// `k` of `energy`/`choice` is the sum `a_min + b_min + k`; only `a_min`
+/// is needed, because the argmins are recorded as left-side allocations.
+/// Both buffers must have length `a.len() + b.len() - 1` (the combined
+/// domain). Returns the inner-iteration count `a.len() × b.len()` — the
+/// §III-E overhead proxy, a pure function of the two domain shapes.
 ///
 /// This is what [`crate::planner::PlannerState`] calls per pair-node so a
-/// re-plan never allocates; the results are bit-identical to
-/// [`reduce_curves`] because the loop is the same.
+/// re-plan never allocates.
+///
+/// **Select form.** The loop runs `wa` outer and `wb` inner: row `wa`
+/// folds `a[wa] + b[·]` into the contiguous output window starting at sum
+/// `wa + b_min`, and each lane keeps the smaller value and its `wa` with a
+/// branch-free select, so the inner loop autovectorizes. For any one sum
+/// `s` the candidates still arrive in ascending `wa` order and replace the
+/// incumbent only on a strict `<` — the same order and comparison as the
+/// per-sum scan [`reduce_curves_at`] — so every energy bit and every
+/// argmin (ties resolve to the lowest `wa`; an all-infeasible sum keeps
+/// `a_min`) is identical to it.
 pub fn reduce_curves_into(
     a_min: usize,
     a: &[f64],
-    b_min: usize,
     b: &[f64],
     energy: &mut [f64],
     choice: &mut [usize],
 ) -> u64 {
-    let a_max = a_min + a.len() - 1;
-    let b_max = b_min + b.len() - 1;
-    let min_s = a_min + b_min;
-    let max_s = a_max + b_max;
-    debug_assert_eq!(energy.len(), max_s - min_s + 1, "output buffers must span the joint domain");
+    debug_assert_eq!(energy.len(), a.len() + b.len() - 1, "output buffers must span the domain");
     debug_assert_eq!(choice.len(), energy.len());
     energy.fill(f64::INFINITY);
     choice.fill(a_min);
-    let mut ops = 0u64;
-    for s in min_s..=max_s {
-        let wa_lo = a_min.max(s.saturating_sub(b_max));
-        let wa_hi = a_max.min(s - b_min);
-        for wa in wa_lo..=wa_hi {
-            ops += 1;
-            let e = a[wa - a_min] + b[s - wa - b_min];
-            if e < energy[s - min_s] {
-                energy[s - min_s] = e;
-                choice[s - min_s] = wa;
-            }
+    for (i, &ea) in a.iter().enumerate() {
+        let wa = a_min + i;
+        let e_row = &mut energy[i..i + b.len()];
+        let c_row = &mut choice[i..i + b.len()];
+        for ((e, c), &eb) in e_row.iter_mut().zip(c_row.iter_mut()).zip(b) {
+            let t = ea + eb;
+            let lt = t < *e;
+            *e = if lt { t } else { *e };
+            *c = if lt { wa } else { *c };
         }
     }
-    ops
+    (a.len() * b.len()) as u64
 }
 
 /// Evaluate one entry of the combined curve: `E_ab(s)` and its left-side
 /// argmin, without sweeping the joint domain. Returns `None` when `s` is
-/// outside it. The scan order and strict-`<` comparison are identical to
-/// [`reduce_curves_into`]'s inner loop, so the returned energy and argmin
-/// are bit-identical to the corresponding entries of the full sweep —
-/// this is how [`crate::planner::PlannerState`] evaluates the root node,
-/// whose curve is only ever read at the total-ways budget.
+/// outside it. Candidates are scanned in ascending `wa` with a strict `<`
+/// — the per-sum order [`reduce_curves_into`] preserves — so the returned
+/// energy and argmin are bit-identical to the corresponding entries of
+/// the full sweep. This is how [`crate::planner::PlannerState`] evaluates
+/// the root node, whose curve is only ever read at the total-ways budget.
 pub fn reduce_curves_at(
     a_min: usize,
     a: &[f64],
@@ -306,26 +309,58 @@ mod tests {
         assert!(ops < 20_000, "{ops}");
     }
 
+    /// The select-form sweep against the per-sum scan, entry by entry:
+    /// bit-equal energy, identical argmin and `ops == len_a × len_b`. The
+    /// random curves cover arbitrary shapes; the integer-valued ones make
+    /// equal sums common (ties must resolve to the lowest `wa`) and mix in
+    /// `INFINITY` entries, over the planner's real domain shapes — 15-way
+    /// leaves and their 29-way pairs, and the 15×29 node an odd core count
+    /// produces.
     #[test]
     fn single_entry_reduction_matches_full_sweep() {
         let mut rng = StdRng::seed_from_u64(99);
-        let point = |rng: &mut StdRng| {
+        let random = |rng: &mut StdRng| {
             if rng.random_bool(0.2) {
                 f64::INFINITY
             } else {
                 rng.random::<f64>() * 5.0
             }
         };
-        for _ in 0..50 {
-            let a = curve(2, (0..7).map(|_| point(&mut rng)).collect());
-            let b = curve(1, (0..9).map(|_| point(&mut rng)).collect());
-            let (full, choice, _) = reduce_curves(&a, &b);
-            for s in full.min_w..=full.max_w() {
-                let (e, wa) = reduce_curves_at(a.min_w, &a.energy, b.min_w, &b.energy, s).unwrap();
-                assert_eq!(e.to_bits(), full.at(s).to_bits());
-                assert_eq!(wa, choice[s - full.min_w]);
+        let tied = |rng: &mut StdRng| {
+            if rng.random_bool(0.2) {
+                f64::INFINITY
+            } else {
+                rng.random_range(0..4u64) as f64
             }
-            for s in [full.min_w - 1, full.max_w() + 1] {
+        };
+        let mut cases: Vec<(EnergyCurve, EnergyCurve)> = Vec::new();
+        for _ in 0..50 {
+            let a = curve(2, (0..7).map(|_| random(&mut rng)).collect());
+            let b = curve(1, (0..9).map(|_| random(&mut rng)).collect());
+            cases.push((a, b));
+        }
+        for (len_a, len_b, min_a, min_b) in [(15, 15, 2, 2), (29, 29, 4, 4), (15, 29, 2, 4)] {
+            for _ in 0..20 {
+                let a = curve(min_a, (0..len_a).map(|_| tied(&mut rng)).collect());
+                let b = curve(min_b, (0..len_b).map(|_| tied(&mut rng)).collect());
+                cases.push((a, b));
+            }
+        }
+        for (a, b) in &cases {
+            // Stale buffers, as a re-reduced planner node has: the sweep
+            // must reset them itself.
+            let len = a.energy.len() + b.energy.len() - 1;
+            let (mut energy, mut choice) = (vec![-1.0; len], vec![usize::MAX; len]);
+            let ops = reduce_curves_into(a.min_w, &a.energy, &b.energy, &mut energy, &mut choice);
+            assert_eq!(ops, (a.energy.len() * b.energy.len()) as u64);
+            let min_s = a.min_w + b.min_w;
+            for (k, (e_full, &wa_full)) in energy.iter().zip(&choice).enumerate() {
+                let (e, wa) =
+                    reduce_curves_at(a.min_w, &a.energy, b.min_w, &b.energy, min_s + k).unwrap();
+                assert_eq!(e.to_bits(), e_full.to_bits());
+                assert_eq!(wa, wa_full);
+            }
+            for s in [min_s - 1, min_s + len] {
                 assert!(reduce_curves_at(a.min_w, &a.energy, b.min_w, &b.energy, s).is_none());
             }
         }

@@ -45,5 +45,5 @@ pub use global::{
 };
 pub use local::{local_optimize, IntervalModel, LocalPlan, RmKind};
 pub use model::{ModelKind, Observation, OnlineModel};
-pub use planner::{plan_system, DecisionMemo, PlanView, PlannerState, RmDecision};
+pub use planner::{plan_system, PlanView, PlannerState, RmDecision};
 pub use qos::{qos_ok, violation_magnitude};

@@ -19,12 +19,13 @@
 //!   stored curves, which are bit-identical to what a from-scratch build
 //!   would recompute — so decisions (and the §III-E `ops` proxy, cached
 //!   per pair-node) are byte-for-byte the same as [`plan_system`]'s.
+//!   A re-plan over a clean forest only back-tracks, and the select-form
+//!   [`reduce_curves_into`] makes a dirty path cheap, so a simulator can
+//!   call [`PlannerState::replan`] at every RM invocation rather than
+//!   caching whole-system decisions.
 
 use crate::global::{optimize_partition, reduce_curves_at, reduce_curves_into, EnergyCurve};
 use crate::local::LocalPlan;
-use std::borrow::Borrow;
-use std::collections::HashMap;
-use std::hash::Hash;
 use triad_arch::Setting;
 
 /// The RM's decision for the whole system after one invocation.
@@ -65,8 +66,8 @@ pub fn plan_system(plans: &[LocalPlan], total_ways: usize, baseline: Setting) ->
 }
 
 /// A borrowed view of the planner's latest decision. Same contents as
-/// [`RmDecision`], but the settings live in the planner's (or memo's)
-/// preallocated buffer, so reading a decision never allocates.
+/// [`RmDecision`], but the settings live in the planner's preallocated
+/// buffer, so reading a decision never allocates.
 #[derive(Debug, Clone, Copy)]
 pub struct PlanView<'a> {
     /// New setting per core.
@@ -362,14 +363,8 @@ impl PlannerState {
                     node.choice[self.total_ways - node.min_w] = wa;
                 }
             } else {
-                let swept = reduce_curves_into(
-                    l_min,
-                    l_curve,
-                    r_min,
-                    r_curve,
-                    &mut node.energy,
-                    &mut node.choice,
-                );
+                let swept =
+                    reduce_curves_into(l_min, l_curve, r_curve, &mut node.energy, &mut node.choice);
                 debug_assert_eq!(
                     swept, node.ops,
                     "the sweep count is a pure function of the domain shapes"
@@ -440,76 +435,6 @@ impl PlannerState {
             predicted_energy: self.predicted_energy,
             ops: self.ops,
         }
-    }
-}
-
-/// A memo of whole-system decisions keyed by the caller's *occupant
-/// signature* — whatever identifies the exact joint planner state (for
-/// the simulator: each core's phase-record identity and observed setting,
-/// plus the vacancy pattern; `RmKind`, model and α are fixed per run).
-///
-/// Re-planning is a pure function of the leaf plans, so when a churny
-/// trace revisits a joint state the stored decision is bit-identical to
-/// what the reduction would recompute — the lookup skips it outright.
-/// Hits are allocation-free (keys can be borrowed, e.g. `&[Sig]` against
-/// `Vec<Sig>` keys); a miss pays one key + settings clone at insert.
-#[derive(Debug)]
-pub struct DecisionMemo<K> {
-    map: HashMap<K, CachedDecision>,
-}
-
-#[derive(Debug)]
-struct CachedDecision {
-    settings: Vec<Setting>,
-    predicted_energy: f64,
-    ops: u64,
-}
-
-impl<K: Eq + Hash> DecisionMemo<K> {
-    /// An empty memo.
-    pub fn new() -> Self {
-        DecisionMemo { map: HashMap::new() }
-    }
-
-    /// The stored decision for `key`, if this joint state was seen before.
-    pub fn get<Q>(&self, key: &Q) -> Option<PlanView<'_>>
-    where
-        K: Borrow<Q>,
-        Q: Eq + Hash + ?Sized,
-    {
-        self.map.get(key).map(|d| PlanView {
-            settings: &d.settings,
-            predicted_energy: d.predicted_energy,
-            ops: d.ops,
-        })
-    }
-
-    /// Store a decision under `key` (clones the settings once).
-    pub fn insert(&mut self, key: K, view: PlanView<'_>) {
-        self.map.insert(
-            key,
-            CachedDecision {
-                settings: view.settings.to_vec(),
-                predicted_energy: view.predicted_energy,
-                ops: view.ops,
-            },
-        );
-    }
-
-    /// Number of distinct joint states stored.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the memo is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-impl<K: Eq + Hash> Default for DecisionMemo<K> {
-    fn default() -> Self {
-        Self::new()
     }
 }
 

@@ -9,8 +9,8 @@
 
 use triad_arch::{CoreSize, DvfsGrid, Setting};
 use triad_rm::{
-    local_optimize, optimize_partition, plan_system, DecisionMemo, EnergyCurve, IntervalModel,
-    LocalPlan, PlannerState, RmKind,
+    local_optimize, optimize_partition, plan_system, EnergyCurve, IntervalModel, LocalPlan,
+    PlannerState, RmKind,
 };
 use triad_util::rand::rngs::StdRng;
 use triad_util::rand::{RngExt, SeedableRng};
@@ -254,34 +254,6 @@ fn incremental_planner_matches_fallback_when_total_out_of_domain() {
     assert!(inc.predicted_energy.is_infinite());
     assert_eq!(inc.ops, scratch.ops, "fallback counts only the local ops");
     assert_eq!(inc.settings, &scratch.settings[..]);
-}
-
-/// The decision memo must hand back exactly the view it was given.
-#[test]
-fn decision_memo_round_trips_bit_identical_views() {
-    let grid = DvfsGrid::table1();
-    let baseline = Setting::new(CoreSize::M, grid.baseline, 2);
-    let mut rng = StdRng::seed_from_u64(0x3E30);
-    let (n, min_w, len) = (5usize, 1usize, 6usize);
-    let mut state = PlannerState::new(n, min_w..=(min_w + len - 1), n * 3, baseline);
-    for j in 0..n {
-        let plan = random_plan(&mut rng, min_w, len, 0.15);
-        state.set_leaf(j, &plan);
-    }
-    let mut memo: DecisionMemo<Vec<u32>> = DecisionMemo::new();
-    assert!(memo.is_empty());
-    let key = vec![7u32, 8, 9];
-    {
-        let view = state.replan();
-        memo.insert(key.clone(), view);
-    }
-    assert_eq!(memo.len(), 1);
-    assert!(memo.get([1u32, 2, 3].as_slice()).is_none(), "unknown keys miss");
-    let got = memo.get(key.as_slice()).expect("stored key hits");
-    let live = state.view();
-    assert_eq!(got.settings, live.settings);
-    assert_eq!(got.predicted_energy.to_bits(), live.predicted_energy.to_bits());
-    assert_eq!(got.ops, live.ops);
 }
 
 /// A randomized-but-lawful model for local-optimizer properties.

@@ -17,13 +17,13 @@
 //! its spec, workers write into order-preserving slots, and the JSON
 //! serialization is canonical — so the same campaign produces
 //! byte-identical output at any thread count. The engine's incremental
-//! planning state (the persistent reduction forest and its decision memo)
-//! is created inside each run, never shared across workers, so it adds no
-//! cross-run coupling — and its decisions, including the reported
+//! planning state (the persistent reduction forest and its local-plan
+//! cache) is created inside each run, never shared across workers, so it
+//! adds no cross-run coupling — and its decisions, including the reported
 //! `rm_ops`, are byte-identical to the from-scratch formulation, keeping
-//! every campaign row stable across this optimization. The experiment drivers in
-//! [`crate::experiments`] and the `triad-bench` CLI are thin layers over
-//! this module.
+//! every campaign row stable across this optimization. The experiment
+//! drivers in [`crate::experiments`] and the `triad-bench` CLI are thin
+//! layers over this module.
 //!
 //! Databases are resolved through the content-addressed
 //! [`triad_phasedb::DbStore`]: a campaign knows exactly which applications

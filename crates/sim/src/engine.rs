@@ -13,18 +13,18 @@
 //! (the paper's 4146B; applications restart when they finish early), and
 //! the uncore (LLC + NoC) energy accrues until the end of the simulation.
 //!
-//! Planning is incremental and memoized at two levels, both wrapped in the
-//! private `RunPlanner`:
+//! Planning is incremental at two levels, both wrapped in the private
+//! `RunPlanner`:
 //!
 //! * **Local plans.** A core's local plan is a function of its slot
 //!   signature (application, phase, observed setting) and the run-fixed
 //!   configuration only, so each run computes it once per distinct
 //!   signature and caches it; a repeat is a copy into the planner leaf.
 //! * **Decisions.** A persistent [`triad_rm::PlannerState`] (the reduction
-//!   forest) plus a decision memo keyed by the joint occupant signature.
-//!   An RM invocation updates exactly one leaf in place and re-reduces
-//!   only its O(log n) ancestors — or skips the reduction entirely when
-//!   the joint state was seen before.
+//!   forest) re-plans at every RM invocation: the invocation updates
+//!   exactly one leaf in place and re-reduces only its O(log n) ancestors
+//!   (none when the leaf's plan is unchanged — then the re-plan only
+//!   back-tracks the stored argmins).
 //!
 //! Decisions (settings, predicted energy *and* reported `ops`) are
 //! byte-identical to re-running `local_optimize` and `plan_system` from
@@ -41,16 +41,14 @@ use triad_energy::{resize_drain_time_s, EnergyBackend, EnergyModel};
 use triad_mem::DramParams;
 use triad_phasedb::{AppDbEntry, PhaseDb, PhaseRecord};
 use triad_rm::{
-    local_optimize, DecisionMemo, IntervalModel, LocalPlan, ModelKind, Observation, OnlineModel,
-    PlanView, PlannerState, RmKind,
+    local_optimize, IntervalModel, LocalPlan, ModelKind, Observation, OnlineModel, PlannerState,
+    RmKind,
 };
 use triad_telemetry::{Counter, Histogram, SpanName};
 use triad_workload::{EventKind, WorkloadTrace};
 
 static RUN_SPAN: SpanName = SpanName::new("sim.run");
 static RM_INVOCATIONS: Counter = Counter::new("sim.rm_invocations");
-static MEMO_HITS: Counter = Counter::new("sim.memo_hits");
-static MEMO_MISSES: Counter = Counter::new("sim.memo_misses");
 static PLAN_CACHE_HITS: Counter = Counter::new("sim.plan_cache_hits");
 static PLAN_CACHE_MISSES: Counter = Counter::new("sim.plan_cache_misses");
 static LOCAL_PLAN_SPAN: SpanName = SpanName::new("rm.local_plan");
@@ -170,7 +168,8 @@ impl SimResult {
 /// run's [`RunPlanner`] leaf, not here — the planner owns all curves.
 struct Core<'a> {
     entry: &'a AppDbEntry,
-    /// Stable database index of `entry` (plan-identity for the memo).
+    /// Stable database index of `entry` (plan identity for the local-plan
+    /// cache).
     app_id: u32,
     setting: Setting,
     /// Interval index within the (restarting) sequence.
@@ -217,31 +216,24 @@ impl<'a> Core<'a> {
     }
 }
 
-/// What one planner leaf currently holds — the memo-key component for one
-/// core slot, and the local-plan cache key. Together with the run-fixed
-/// configuration (`RmKind`, model, α, grids, backend) a signature vector
-/// fully determines every leaf curve, hence the whole decision.
+/// The local-plan cache key of one model refresh: the phase record the RM
+/// reads and the setting it reads it at. Together with the run-fixed
+/// configuration (`RmKind`, model, α, grids, backend) it fully determines
+/// the leaf curve. For online models `setting` is the interval setting
+/// whose monitor statistics fed the model; for the perfect model the plan
+/// is setting-independent and `setting` is the baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum SlotSig {
-    /// Vacant, or occupied with no completed interval: the baseline-pinned
-    /// plan.
-    Pinned,
-    /// Planned from the identified phase record. For online models
-    /// `setting` is the interval setting whose monitor statistics fed the
-    /// model; for the perfect model the plan is setting-independent and
-    /// `setting` is the baseline.
-    Planned { app: u32, phase: u32, setting: Setting },
+struct SlotSig {
+    app: u32,
+    phase: u32,
+    setting: Setting,
 }
 
-/// Per-run planning state: the persistent reduction forest, the decision
-/// memo over joint occupant signatures, and the local-plan cache over
-/// single-slot signatures. Run-local, so campaign-level parallelism is
-/// untouched.
+/// Per-run planning state: the persistent reduction forest and the
+/// local-plan cache over slot signatures. Run-local, so campaign-level
+/// parallelism is untouched.
 struct RunPlanner {
     state: PlannerState,
-    memo: DecisionMemo<Vec<SlotSig>>,
-    /// Current signature per core slot (the memo key).
-    sig: Vec<SlotSig>,
     /// Every local plan computed this run, keyed by the signature it is a
     /// function of ([`Simulator::local_plan`] reads nothing else).
     plans: HashMap<SlotSig, LocalPlan>,
@@ -254,39 +246,10 @@ impl RunPlanner {
         let baseline = sys.baseline_setting();
         RunPlanner {
             state: PlannerState::new(sys.n_cores, sys.way_range(), sys.total_ways(), baseline),
-            memo: DecisionMemo::new(),
-            sig: vec![SlotSig::Pinned; sys.n_cores],
             plans: HashMap::new(),
             plan_hits: 0,
             plan_misses: 0,
         }
-    }
-
-    /// Reset core `j` to the shared pinned-baseline plan (vacated slot or
-    /// fresh arrival). No-op when the leaf is already pinned.
-    fn set_pinned(&mut self, j: CoreId) {
-        if self.sig[j] != SlotSig::Pinned {
-            self.state.set_leaf_pinned(j);
-            self.sig[j] = SlotSig::Pinned;
-        }
-    }
-
-    /// The decision for the current joint state: a memo hit skips the
-    /// reduction outright (allocation-free); a miss re-reduces the dirty
-    /// O(log n) path and stores the result.
-    fn decide(&mut self) -> PlanView<'_> {
-        if self.memo.get(self.sig.as_slice()).is_none() {
-            MEMO_MISSES.incr();
-            let view = {
-                let _span = REPLAN_SPAN.enter();
-                self.state.replan()
-            };
-            self.memo.insert(self.sig.clone(), view);
-            REPLAN_DIRTY_NODES.observe(self.state.last_reduced_nodes());
-        } else {
-            MEMO_HITS.incr();
-        }
-        self.memo.get(self.sig.as_slice()).expect("decision just inserted")
     }
 }
 
@@ -365,11 +328,11 @@ impl<'a> Simulator<'a> {
         match self.cfg.model {
             SimModel::Online(_) => {
                 let phase = seq[(core.seq_pos - 1) % seq.len()] as u32;
-                SlotSig::Planned { app, phase, setting: core.interval_setting }
+                SlotSig { app, phase, setting: core.interval_setting }
             }
             SimModel::Perfect => {
                 let phase = seq[core.seq_pos % seq.len()] as u32;
-                SlotSig::Planned { app, phase, setting: baseline }
+                SlotSig { app, phase, setting: baseline }
             }
         }
     }
@@ -377,14 +340,8 @@ impl<'a> Simulator<'a> {
     /// The local optimization for one planned slot, a function of its
     /// signature `(app, phase, setting)` alone (plus the run-fixed
     /// configuration), which is what lets [`RunPlanner`] cache it.
-    fn local_plan(
-        &self,
-        kind: RmKind,
-        baseline: Setting,
-        app: u32,
-        phase: u32,
-        setting: Setting,
-    ) -> LocalPlan {
+    fn local_plan(&self, kind: RmKind, baseline: Setting, sig: SlotSig) -> LocalPlan {
+        let SlotSig { app, phase, setting } = sig;
         let rec: &PhaseRecord = &self.db.apps[app as usize].records[phase as usize];
         let grid = &self.sys.dvfs;
         let plan = |model: &dyn IntervalModel| {
@@ -544,15 +501,11 @@ impl<'a> Simulator<'a> {
             }
             Entry::Vacant(miss) => {
                 planner.plan_misses += 1;
-                let SlotSig::Planned { app, phase, setting } = sig else {
-                    unreachable!("a model refresh always yields a planned signature")
-                };
                 let _span = LOCAL_PLAN_SPAN.enter();
-                miss.insert(self.local_plan(kind, baseline, app, phase, setting))
+                miss.insert(self.local_plan(kind, baseline, sig))
             }
         };
         planner.state.set_leaf(j, plan);
-        planner.sig[j] = sig;
         let ops = self.replan(cores, planner, Some(j));
         // The new interval of the finishing core starts at the new setting.
         let c = cores[j].as_mut().expect("finishing core is occupied");
@@ -570,7 +523,12 @@ impl<'a> Simulator<'a> {
         planner: &mut RunPlanner,
         charge_to: Option<CoreId>,
     ) -> u64 {
-        let view = planner.decide();
+        {
+            let _span = REPLAN_SPAN.enter();
+            planner.state.replan();
+        }
+        REPLAN_DIRTY_NODES.observe(planner.state.last_reduced_nodes());
+        let view = planner.state.view();
         let ops = view.ops;
         for (slot, &new_setting) in cores.iter_mut().zip(view.settings) {
             if let Some(c) = slot {
@@ -651,7 +609,7 @@ impl<'a> Simulator<'a> {
                             fold.absorb(&c);
                             departures += 1;
                         }
-                        planner.set_pinned(e.core);
+                        planner.state.set_leaf_pinned(e.core);
                     }
                     EventKind::Arrive { app, phase_offset } => {
                         if let Some(c) = cores[e.core].take() {
@@ -660,7 +618,7 @@ impl<'a> Simulator<'a> {
                             departures += 1;
                         }
                         cores[e.core] = Some(self.fresh_core(app, *phase_offset, baseline));
-                        planner.set_pinned(e.core);
+                        planner.state.set_leaf_pinned(e.core);
                         arrivals += 1;
                         trigger = Some(e.core);
                     }
@@ -975,9 +933,7 @@ mod tests {
             let grid = &sim.sys.dvfs;
             let em = sim.em.as_ref();
             for (sig, plan) in &planner.plans {
-                let SlotSig::Planned { app, phase, setting } = *sig else {
-                    panic!("pinned slots are never cached")
-                };
+                let SlotSig { app, phase, setting } = *sig;
                 let rec = &db.apps[app as usize].records[phase as usize];
                 let (ways, alpha) = (sim.sys.way_range(), sim.cfg.alpha);
                 let fresh = |m: &dyn IntervalModel| {

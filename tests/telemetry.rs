@@ -59,9 +59,10 @@ fn telemetry_is_a_pure_sidecar() {
     // The instrumentation actually ran: a few load-bearing totals.
     assert_eq!(snap1.counter("campaign.rows"), 3);
     assert!(snap1.counter("sim.rm_invocations") > 0, "RM invocations uncounted");
-    assert!(
-        snap1.counter("sim.memo_hits") + snap1.counter("sim.memo_misses") > 0,
-        "decision-memo traffic uncounted"
+    assert_eq!(
+        snap1.span("rm.replan").map_or(0, |s| s.count),
+        snap1.counter("sim.rm_invocations"),
+        "every RM invocation re-plans"
     );
     assert!(snap1.span("sim.run").is_some(), "sim.run span never entered");
     assert!(snap1.histogram("sim.replan_dirty_nodes").is_some(), "dirty-path histogram empty");
