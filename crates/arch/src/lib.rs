@@ -11,8 +11,9 @@
 //!   LLC) — [`CacheGeometry`];
 //! * the per-core **resource setting** tuple `(c, f, w)` managed by the
 //!   resource manager — [`Setting`];
-//! * the **system configuration** (core count, baseline setting, QoS slack
-//!   `α`, interval length) — [`SystemConfig`].
+//! * the **system configuration** (core count, grid, geometry, baseline
+//!   setting) — [`SystemConfig`] — next to the paper's fixed QoS slack
+//!   [`QOS_ALPHA`] and interval length [`INTERVAL_INSTRUCTIONS`].
 //!
 //! All values default to Table I of Nejat et al. (IPDPS 2020). The paper's
 //! baseline is a mid-range setting: M-sized cores at 2 GHz / 1 V with an even
@@ -28,4 +29,4 @@ pub use core_size::{CoreParams, CoreSize};
 pub use dvfs::{DvfsGrid, VfIndex, VfPoint, DVFS_TRANSITION_ENERGY_J, DVFS_TRANSITION_TIME_S};
 pub use geometry::{CacheGeometry, CacheLevelGeometry, BLOCK_BYTES};
 pub use setting::Setting;
-pub use system::{CoreId, SystemConfig, QOS_ALPHA};
+pub use system::{CoreId, SystemConfig, INTERVAL_INSTRUCTIONS, QOS_ALPHA};

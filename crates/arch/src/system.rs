@@ -1,5 +1,5 @@
-//! Whole-system configuration: core count, baseline setting, QoS slack and
-//! RM invocation interval.
+//! Whole-system configuration: core count, DVFS grid and cache geometry,
+//! plus the paper's fixed QoS slack and RM invocation interval.
 
 use crate::core_size::CoreSize;
 use crate::dvfs::DvfsGrid;
@@ -27,23 +27,13 @@ pub struct SystemConfig {
     pub dvfs: DvfsGrid,
     /// Cache geometry (scales with `n_cores`).
     pub geometry: CacheGeometry,
-    /// QoS slack factor `α` (Eq. 3); 1.0 in the paper.
-    pub alpha: f64,
-    /// RM invocation interval in instructions.
-    pub interval_insts: u64,
 }
 
 impl SystemConfig {
     /// The paper's Table I system with `n_cores` cores.
     pub fn table1(n_cores: usize) -> Self {
         assert!(n_cores >= 2, "the partitioning problem needs at least two cores");
-        SystemConfig {
-            n_cores,
-            dvfs: DvfsGrid::table1(),
-            geometry: CacheGeometry::table1(n_cores),
-            alpha: QOS_ALPHA,
-            interval_insts: INTERVAL_INSTRUCTIONS,
-        }
+        SystemConfig { n_cores, dvfs: DvfsGrid::table1(), geometry: CacheGeometry::table1(n_cores) }
     }
 
     /// The baseline setting every core starts from and QoS is defined
@@ -116,6 +106,6 @@ mod tests {
 
     #[test]
     fn interval_is_100m_instructions() {
-        assert_eq!(SystemConfig::table1(2).interval_insts, 100_000_000);
+        assert_eq!(INTERVAL_INSTRUCTIONS, 100_000_000);
     }
 }

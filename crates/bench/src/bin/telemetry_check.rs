@@ -3,13 +3,12 @@
 //!
 //! * the metrics report must parse with [`triad_util::json::parse`],
 //!   carry `schema: "triad-telemetry/v1"` and have non-empty `counters`;
-//! * the chrome trace must parse, carry a `traceEvents` array, and every
-//!   event must either be a complete `"X"` event with numeric `ts`/`dur`
-//!   or a `"B"`/`"E"` pair balanced per `(pid, tid, name)`.
+//! * the chrome trace must parse, carry a non-empty `traceEvents` array,
+//!   and every event must be a complete `"X"` event (the only kind
+//!   `triad_telemetry::take_chrome_trace` writes) with numeric `ts`/`dur`.
 //!
 //! Usage: `telemetry_check <metrics.json> <chrome-trace.json>`
 
-use std::collections::HashMap;
 use std::process::ExitCode;
 use triad_util::json::{parse, Json};
 
@@ -46,46 +45,20 @@ fn check_chrome_trace(path: &str) -> Result<usize, String> {
     if events.is_empty() {
         return Err(format!("{path}: no trace events captured — spans did not record"));
     }
-    // B/E events must balance per (pid, tid, name); X events are complete.
-    let mut depth: HashMap<(String, String, String), i64> = HashMap::new();
     for (i, e) in events.iter().enumerate() {
-        let ph = match e.get("ph") {
-            Some(Json::Str(s)) => s.as_str(),
-            other => return Err(format!("{path}: event {i}: ph must be a string, got {other:?}")),
-        };
-        let numeric = |key: &str| -> Result<(), String> {
+        match e.get("ph") {
+            Some(Json::Str(s)) if s == "X" => {}
+            other => return Err(format!("{path}: event {i}: ph must be \"X\", got {other:?}")),
+        }
+        for key in ["ts", "dur"] {
             match e.get(key) {
-                Some(Json::Num(x)) if x.is_finite() && *x >= 0.0 => Ok(()),
-                Some(Json::Int(x)) if *x >= 0 => Ok(()),
-                other => Err(format!("{path}: event {i}: {key} must be ≥ 0, got {other:?}")),
-            }
-        };
-        let key = || -> (String, String, String) {
-            let s = |k: &str| e.get(k).map(|v| v.to_string_compact()).unwrap_or_default();
-            (s("pid"), s("tid"), s("name"))
-        };
-        match ph {
-            "X" => {
-                numeric("ts")?;
-                numeric("dur")?;
-            }
-            "B" => {
-                numeric("ts")?;
-                *depth.entry(key()).or_insert(0) += 1;
-            }
-            "E" => {
-                numeric("ts")?;
-                let d = depth.entry(key()).or_insert(0);
-                *d -= 1;
-                if *d < 0 {
-                    return Err(format!("{path}: event {i}: E without matching B"));
+                Some(Json::Num(x)) if x.is_finite() && *x >= 0.0 => {}
+                Some(Json::Int(x)) if *x >= 0 => {}
+                other => {
+                    return Err(format!("{path}: event {i}: {key} must be ≥ 0, got {other:?}"))
                 }
             }
-            other => return Err(format!("{path}: event {i}: unsupported ph {other:?}")),
         }
-    }
-    if let Some((k, _)) = depth.iter().find(|(_, &d)| d != 0) {
-        return Err(format!("{path}: unbalanced B/E events for {k:?}"));
     }
     Ok(events.len())
 }

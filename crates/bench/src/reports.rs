@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use triad_arch::{
     CacheGeometry, CoreSize, DvfsGrid, SystemConfig, DVFS_TRANSITION_ENERGY_J,
-    DVFS_TRANSITION_TIME_S,
+    DVFS_TRANSITION_TIME_S, INTERVAL_INSTRUCTIONS, QOS_ALPHA,
 };
 use triad_cache::MlpMonitor;
 use triad_energy::{EnergyBackend, EnergyBackendConfig, EnergyModel, TableBackend};
@@ -28,7 +28,7 @@ use triad_sim::experiments::{
     averages, comparison_specs, fig2_workloads, fig9_specs, fold_comparisons,
     fold_model_comparisons, scenario_means, RmComparison,
 };
-use triad_sim::{evaluate_models, SimConfig, SimModel, Simulator};
+use triad_sim::{evaluate_models, SimConfig, SimModel, Simulator, RM_INSTR_PER_OP};
 use triad_trace::Category;
 use triad_util::json::Json;
 use triad_workload::{
@@ -256,11 +256,10 @@ pub fn table1() -> Json {
         grid.baseline_point().freq_ghz(),
         grid.baseline_point().volt
     );
-    let sys = SystemConfig::table1(4);
     println!(
         "RM interval: {}M instructions, QoS alpha = {}",
-        sys.interval_insts / 1_000_000,
-        sys.alpha
+        INTERVAL_INSTRUCTIONS / 1_000_000,
+        QOS_ALPHA
     );
     Json::obj()
         .set("experiment", "table1")
@@ -268,8 +267,8 @@ pub fn table1() -> Json {
         .set("llc", llc_json)
         .set("dram_latency_ns", d.base_latency_s * 1e9)
         .set("dvfs_points", grid.len())
-        .set("interval_insts", sys.interval_insts)
-        .set("alpha", sys.alpha)
+        .set("interval_insts", INTERVAL_INSTRUCTIONS)
+        .set("alpha", QOS_ALPHA)
 }
 
 /// Table II: categories derived via the §IV-C criteria.
@@ -627,7 +626,6 @@ pub fn overheads(db: &PhaseDb, seed: u64, opts: &RunOptions) -> Json {
             if let Some(n) = intervals {
                 cfg.target_intervals = n;
             }
-            let instr_per_op = cfg.rm_instr_per_op;
             let sim = Simulator::with_backend(db, n, cfg, Arc::clone(&em));
             let names: Vec<&str> = wl.apps.to_vec();
             let r = sim.run(&names);
@@ -637,14 +635,14 @@ pub fn overheads(db: &PhaseDb, seed: u64, opts: &RunOptions) -> Json {
                 n,
                 rm.label(),
                 ops,
-                ops * instr_per_op / 1000.0
+                ops * RM_INSTR_PER_OP / 1000.0
             );
             rows.push(
                 Json::obj()
                     .set("cores", n)
                     .set("rm", rm.label())
                     .set("ops_per_invocation", ops)
-                    .set("instructions", ops * instr_per_op),
+                    .set("instructions", ops * RM_INSTR_PER_OP),
             );
         }
     }

@@ -99,46 +99,6 @@ impl EnergyModel {
             uncore_w_per_core: 0.30,
         }
     }
-
-    /// Dynamic core power at operating point `vf` with utilization
-    /// `util ∈ [0, 1]` (retired IPC over dispatch width).
-    pub fn core_dynamic_power(&self, c: CoreSize, vf: VfPoint, util: f64) -> f64 {
-        let p = self.core[c.index()];
-        let activity = self.dyn_floor + (1.0 - self.dyn_floor) * util.clamp(0.0, 1.0);
-        p.dyn_ref_w * activity * (vf.volt / REF_VOLT).powi(2) * (vf.freq_hz / REF_FREQ_HZ)
-    }
-
-    /// Static core power at operating point `vf` (leakage ∝ V over the
-    /// 0.8–1.25 V range).
-    pub fn core_static_power(&self, c: CoreSize, vf: VfPoint) -> f64 {
-        self.core[c.index()].static_ref_w * (vf.volt / REF_VOLT)
-    }
-
-    /// Total core power.
-    pub fn core_power(&self, c: CoreSize, vf: VfPoint, util: f64) -> f64 {
-        self.core_dynamic_power(c, vf, util) + self.core_static_power(c, vf)
-    }
-
-    /// Core energy over a duration.
-    pub fn core_energy(&self, c: CoreSize, vf: VfPoint, util: f64, time_s: f64) -> f64 {
-        self.core_power(c, vf, util) * time_s
-    }
-
-    /// DRAM energy for `accesses` line transfers (reads + writebacks).
-    pub fn dram_energy(&self, accesses: u64) -> f64 {
-        accesses as f64 * self.dram_energy_per_access_j
-    }
-
-    /// Uncore energy for an `n_cores` system over a duration.
-    pub fn uncore_energy(&self, n_cores: usize, time_s: f64) -> f64 {
-        self.uncore_w_per_core * n_cores as f64 * time_s
-    }
-
-    /// Full-utilization dynamic-power (capacitance) ratio between core
-    /// sizes at the reference point — the Eq. 4 extrapolation factor.
-    pub fn dyn_ratio(&self, target: CoreSize, current: CoreSize) -> f64 {
-        self.core[target.index()].dyn_ref_w / self.core[current.index()].dyn_ref_w
-    }
 }
 
 impl Default for EnergyModel {
@@ -152,12 +112,17 @@ impl EnergyBackend for EnergyModel {
         "mcpat".into()
     }
 
+    /// Dynamic power scales with `V²f` and with the utilization-dependent
+    /// activity factor above the clock-gating floor.
     fn core_dynamic_power(&self, c: CoreSize, vf: VfPoint, util: f64) -> f64 {
-        EnergyModel::core_dynamic_power(self, c, vf, util)
+        let p = self.core[c.index()];
+        let activity = self.dyn_floor + (1.0 - self.dyn_floor) * util.clamp(0.0, 1.0);
+        p.dyn_ref_w * activity * (vf.volt / REF_VOLT).powi(2) * (vf.freq_hz / REF_FREQ_HZ)
     }
 
+    /// Leakage ∝ V over the 0.8–1.25 V range.
     fn core_static_power(&self, c: CoreSize, vf: VfPoint) -> f64 {
-        EnergyModel::core_static_power(self, c, vf)
+        self.core[c.index()].static_ref_w * (vf.volt / REF_VOLT)
     }
 
     fn dram_energy_per_access_j(&self) -> f64 {
@@ -169,7 +134,7 @@ impl EnergyBackend for EnergyModel {
     }
 
     fn dyn_ratio(&self, target: CoreSize, current: CoreSize) -> f64 {
-        EnergyModel::dyn_ratio(self, target, current)
+        self.core[target.index()].dyn_ref_w / self.core[current.index()].dyn_ref_w
     }
 }
 

@@ -15,10 +15,14 @@
 //!   a whole run: the reduction tree is a flattened arena whose shape is
 //!   fixed by the core count, every curve/argmin/scratch buffer is
 //!   preallocated, and when one core's plan changes only its O(log n)
-//!   ancestor pair-nodes are re-reduced. Unchanged subtrees keep their
-//!   stored curves, which are bit-identical to what a from-scratch build
-//!   would recompute — so decisions (and the §III-E `ops` proxy, cached
-//!   per pair-node) are byte-for-byte the same as [`plan_system`]'s.
+//!   ancestor pair-nodes are re-reduced. Its leaves are plain
+//!   [`LocalPlan`]s; a core without statistics holds a copy of the one
+//!   [`LocalPlan::pinned`] plan the state keeps, installed through the
+//!   same compare-and-copy path as any other plan. Unchanged subtrees
+//!   keep their stored curves, which are bit-identical to what a
+//!   from-scratch build would recompute — so decisions (and the §III-E
+//!   `ops` proxy, cached per pair-node) are byte-for-byte the same as
+//!   [`plan_system`]'s.
 //!   A re-plan over a clean forest only back-tracks, and the select-form
 //!   [`reduce_curves_into`] makes a dirty path cheap, so a simulator can
 //!   call [`PlannerState::replan`] at every RM invocation rather than
@@ -85,15 +89,6 @@ enum Child {
     Node(usize),
 }
 
-/// One per-core curve slot: a copy of that core's latest [`LocalPlan`]
-/// (or the pinned fallback), in buffers sized once at construction.
-#[derive(Debug)]
-struct LeafSlot {
-    energy: Vec<f64>,
-    setting: Vec<Option<Setting>>,
-    ops: u64,
-}
-
 /// One interior reduction node: the combined curve and argmin table over
 /// a fixed domain, plus the cached iteration count of its last reduction.
 #[derive(Debug)]
@@ -139,8 +134,12 @@ struct PairNode {
 pub struct PlannerState {
     total_ways: usize,
     baseline: Setting,
-    leaf_min_w: usize,
-    leaves: Vec<LeafSlot>,
+    /// The [`LocalPlan::pinned`] plan every leaf starts as and
+    /// [`PlannerState::set_leaf_pinned`] resets to.
+    pinned: LocalPlan,
+    /// Each core's latest local plan, in buffers sized once at
+    /// construction.
+    leaves: Vec<LocalPlan>,
     /// Interior nodes in post-order: children precede parents; the last
     /// node (when `n ≥ 2`) is the root.
     nodes: Vec<PairNode>,
@@ -173,22 +172,8 @@ impl PlannerState {
         baseline: Setting,
     ) -> Self {
         assert!(n_cores >= 1, "the planner needs at least one core");
-        let leaf_min_w = *way_range.start();
-        let leaf_len = way_range.end() - leaf_min_w + 1;
-        assert!(way_range.contains(&baseline.ways), "baseline allocation must be in the domain");
-
-        let leaves: Vec<LeafSlot> = (0..n_cores)
-            .map(|_| {
-                let mut slot = LeafSlot {
-                    energy: vec![f64::INFINITY; leaf_len],
-                    setting: vec![None; leaf_len],
-                    ops: 0,
-                };
-                slot.energy[baseline.ways - leaf_min_w] = 0.0;
-                slot.setting[baseline.ways - leaf_min_w] = Some(baseline);
-                slot
-            })
-            .collect();
+        let pinned = LocalPlan::pinned(way_range, baseline);
+        let leaves = vec![pinned.clone(); n_cores];
 
         // Mirror `plan_system`'s recursive midpoint pairing, flattened in
         // post-order so children always precede their parent.
@@ -219,7 +204,7 @@ impl PlannerState {
             });
             (Child::Node(nodes.len() - 1), min_w, len)
         }
-        build(0, n_cores, leaf_min_w, leaf_len, &mut nodes);
+        build(0, n_cores, pinned.min_w, pinned.energy.len(), &mut nodes);
 
         let mut leaf_parent = vec![usize::MAX; n_cores];
         let mut node_parent = vec![None; nodes.len()];
@@ -235,7 +220,7 @@ impl PlannerState {
         PlannerState {
             total_ways,
             baseline,
-            leaf_min_w,
+            pinned,
             leaves,
             nodes,
             leaf_parent,
@@ -256,56 +241,24 @@ impl PlannerState {
     /// Install core `j`'s new local plan, copying into the leaf's
     /// preallocated buffers (never allocates). Returns `false` — and
     /// leaves the whole forest clean — when the plan is bit-identical to
-    /// the slot's current contents, which re-planning would provably
+    /// the leaf's current contents, which re-planning would provably
     /// reproduce anyway.
     pub fn set_leaf(&mut self, j: usize, plan: &LocalPlan) -> bool {
-        assert_eq!(plan.min_w, self.leaf_min_w, "plan domain must match the planner's");
-        let leaf = &mut self.leaves[j];
-        assert_eq!(plan.energy.len(), leaf.energy.len(), "plan domain must match the planner's");
-        let same = leaf.ops == plan.ops
-            && leaf.setting == plan.setting
-            && leaf.energy.iter().zip(&plan.energy).all(|(a, b)| a.to_bits() == b.to_bits());
-        if same {
-            return false;
+        let changed = copy_if_changed(&mut self.leaves[j], plan);
+        if changed {
+            self.mark_dirty_above_leaf(j);
         }
-        leaf.energy.copy_from_slice(&plan.energy);
-        leaf.setting.copy_from_slice(&plan.setting);
-        leaf.ops = plan.ops;
-        self.mark_dirty_above_leaf(j);
-        true
+        changed
     }
 
     /// Reset core `j` to the pinned baseline plan (vacant core, or one
     /// with no completed interval). Returns `false` when already pinned.
     pub fn set_leaf_pinned(&mut self, j: usize) -> bool {
-        let b = self.baseline;
-        let bi = b.ways - self.leaf_min_w;
-        let leaf = &mut self.leaves[j];
-        let same = leaf.ops == 0
-            && leaf.energy.iter().enumerate().all(|(i, e)| {
-                if i == bi {
-                    *e == 0.0
-                } else {
-                    e.is_infinite() && *e > 0.0
-                }
-            })
-            && leaf.setting.iter().enumerate().all(|(i, s)| {
-                if i == bi {
-                    *s == Some(b)
-                } else {
-                    s.is_none()
-                }
-            });
-        if same {
-            return false;
+        let changed = copy_if_changed(&mut self.leaves[j], &self.pinned);
+        if changed {
+            self.mark_dirty_above_leaf(j);
         }
-        leaf.energy.fill(f64::INFINITY);
-        leaf.setting.fill(None);
-        leaf.energy[bi] = 0.0;
-        leaf.setting[bi] = Some(b);
-        leaf.ops = 0;
-        self.mark_dirty_above_leaf(j);
-        true
+        changed
     }
 
     /// Mark leaf `j`'s ancestor chain dirty. Invariant: a dirty node's
@@ -347,11 +300,11 @@ impl PlannerState {
             let (done, rest) = self.nodes.split_at_mut(i);
             let node = &mut rest[0];
             let (l_min, l_curve): (usize, &[f64]) = match node.left {
-                Child::Leaf(j) => (self.leaf_min_w, &self.leaves[j].energy),
+                Child::Leaf(j) => (self.leaves[j].min_w, &self.leaves[j].energy),
                 Child::Node(k) => (done[k].min_w, &done[k].energy),
             };
             let (r_min, r_curve): (usize, &[f64]) = match node.right {
-                Child::Leaf(j) => (self.leaf_min_w, &self.leaves[j].energy),
+                Child::Leaf(j) => (self.leaves[j].min_w, &self.leaves[j].energy),
                 Child::Node(k) => (done[k].min_w, &done[k].energy),
             };
             if i + 1 == n_nodes {
@@ -376,13 +329,13 @@ impl PlannerState {
         let leaf_ops: u64 = self.leaves.iter().map(|l| l.ops).sum();
         let (root, root_min, root_len) = match self.nodes.last() {
             Some(n) => (Child::Node(self.nodes.len() - 1), n.min_w, n.energy.len()),
-            None => (Child::Leaf(0), self.leaf_min_w, self.leaves[0].energy.len()),
+            None => (Child::Leaf(0), self.leaves[0].min_w, self.leaves[0].energy.len()),
         };
         let in_domain = self.total_ways >= root_min && self.total_ways < root_min + root_len;
         let energy = if in_domain {
             match root {
                 Child::Node(k) => self.nodes[k].energy[self.total_ways - self.nodes[k].min_w],
-                Child::Leaf(j) => self.leaves[j].energy[self.total_ways - self.leaf_min_w],
+                Child::Leaf(j) => self.leaves[j].energy_at(self.total_ways),
             }
         } else {
             f64::INFINITY
@@ -401,7 +354,7 @@ impl PlannerState {
         let mut ways = std::mem::take(&mut self.ways);
         self.assign(root, self.total_ways, &mut ways);
         for (j, &w) in ways.iter().enumerate() {
-            self.settings[j] = self.leaves[j].setting[w - self.leaf_min_w].unwrap_or(self.baseline);
+            self.settings[j] = self.leaves[j].setting_at(w).unwrap_or(self.baseline);
         }
         self.ways = ways;
         self.predicted_energy = energy;
@@ -436,6 +389,24 @@ impl PlannerState {
             ops: self.ops,
         }
     }
+}
+
+/// Copy `plan` into `leaf`'s buffers unless the two are bit-identical;
+/// returns whether anything changed.
+fn copy_if_changed(leaf: &mut LocalPlan, plan: &LocalPlan) -> bool {
+    assert!(
+        plan.min_w == leaf.min_w && plan.energy.len() == leaf.energy.len(),
+        "plan domain must match the planner's"
+    );
+    let same = leaf.ops == plan.ops
+        && leaf.setting == plan.setting
+        && leaf.energy.iter().zip(&plan.energy).all(|(a, b)| a.to_bits() == b.to_bits());
+    if !same {
+        leaf.energy.copy_from_slice(&plan.energy);
+        leaf.setting.copy_from_slice(&plan.setting);
+        leaf.ops = plan.ops;
+    }
+    !same
 }
 
 #[cfg(test)]

@@ -181,16 +181,32 @@ fn incremental_planner_matches_from_scratch_bit_for_bit() {
         let baseline = Setting::new(CoreSize::M, grid.baseline, 2);
         let total = n * (2 * min_w + len - 1) / 2; // mid-domain
         let mut state = PlannerState::new(n, way_range.clone(), total, baseline);
-        let mut mirror: Vec<LocalPlan> =
-            (0..n).map(|_| LocalPlan::pinned(way_range.clone(), baseline)).collect();
+        let pinned = LocalPlan::pinned(way_range.clone(), baseline);
+        let mut mirror: Vec<LocalPlan> = vec![pinned.clone(); n];
+        let bits = |p: &LocalPlan| {
+            (p.ops, p.setting.clone(), p.energy.iter().map(|e| e.to_bits()).collect::<Vec<_>>())
+        };
+        let mut via_set_leaf_pinned = true;
 
         for step in 0..=60 {
             if step > 0 {
                 // One event: some core's leaf changes.
                 let j = rng.random_range(0..n as u64) as usize;
                 if rng.random_bool(0.25) {
-                    state.set_leaf_pinned(j);
-                    mirror[j] = LocalPlan::pinned(way_range.clone(), baseline);
+                    // A pinned reset, alternately through the dedicated
+                    // entry point and as an ordinary plan; both report a
+                    // change exactly when the leaf was not already pinned.
+                    let was_pinned = bits(&mirror[j]) == bits(&pinned);
+                    let changed = if via_set_leaf_pinned {
+                        state.set_leaf_pinned(j)
+                    } else {
+                        state.set_leaf(j, &pinned)
+                    };
+                    via_set_leaf_pinned = !via_set_leaf_pinned;
+                    assert_eq!(changed, !was_pinned, "n={n} step={step}");
+                    assert!(!state.set_leaf_pinned(j), "n={n} step={step}: already pinned");
+                    assert!(!state.set_leaf(j, &pinned), "n={n} step={step}: already pinned");
+                    mirror[j] = pinned.clone();
                 } else {
                     let p_inf = [0.0, 0.2, 0.6][step % 3];
                     let plan = random_plan(&mut rng, min_w, len, p_inf);

@@ -2,11 +2,15 @@
 //!
 //! Each core replays its application's per-interval phase trace against the
 //! detailed-simulation database. The global event is always "the core that
-//! finishes its current 100M-instruction interval first"; at that instant
-//! the finishing core's monitor statistics are refreshed, its energy curve
-//! regenerated, the global optimization re-run over the (cached) curves of
-//! all cores, and the new system setting applied — with DVFS-transition,
-//! core-resize and RM-software overheads charged when enabled (§III-E).
+//! finishes its current interval first" — intervals are
+//! [`INTERVAL_INSTRUCTIONS`] (100M) long, and each loop turn finds that
+//! core with one scan over the occupied cores, ties going to the lowest
+//! index. At that instant the finishing core's monitor statistics are
+//! refreshed, its energy curve regenerated, the global optimization re-run
+//! over the (cached) curves of all cores, and the new system setting
+//! applied — with DVFS-transition, core-resize and RM-software
+//! ([`RM_INSTR_PER_OP`] per operation) overheads charged when enabled
+//! (§III-E).
 //!
 //! Energy bookkeeping follows §IV-D1: each application's core and memory
 //! energy counts until it has executed the suite-maximum instruction count
@@ -30,12 +34,12 @@
 //! byte-identical to re-running `local_optimize` and `plan_system` from
 //! first principles at every invocation.
 
-use crate::finish::FinishQueue;
 use crate::perfect::PerfectModel;
 use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 use triad_arch::{
     CoreId, CoreSize, Setting, SystemConfig, DVFS_TRANSITION_ENERGY_J, DVFS_TRANSITION_TIME_S,
+    INTERVAL_INSTRUCTIONS,
 };
 use triad_energy::{resize_drain_time_s, EnergyBackend, EnergyModel};
 use triad_mem::DramParams;
@@ -51,8 +55,10 @@ static RUN_SPAN: SpanName = SpanName::new("sim.run");
 static RM_INVOCATIONS: Counter = Counter::new("sim.rm_invocations");
 static PLAN_CACHE_HITS: Counter = Counter::new("sim.plan_cache_hits");
 static PLAN_CACHE_MISSES: Counter = Counter::new("sim.plan_cache_misses");
-static LOCAL_PLAN_SPAN: SpanName = SpanName::new("rm.local_plan");
-static REPLAN_SPAN: SpanName = SpanName::new("rm.replan");
+// Sub-microsecond and hit once per RM invocation: metrics-only, so a
+// traced run is not dominated by their Chrome events.
+static LOCAL_PLAN_SPAN: SpanName = SpanName::untraced("rm.local_plan");
+static REPLAN_SPAN: SpanName = SpanName::untraced("rm.replan");
 static REPLAN_DIRTY_NODES: Histogram = Histogram::new("sim.replan_dirty_nodes");
 static FINISH_UPDATES: Counter = Counter::new("sim.finish_updates");
 static ARRIVALS: Counter = Counter::new("sim.arrivals");
@@ -80,16 +86,15 @@ pub struct SimConfig {
     pub overheads: bool,
     /// QoS slack `α` (Eq. 3).
     pub alpha: f64,
-    /// Instructions per RM interval (Table I: 100M).
-    pub interval_insts: f64,
     /// Target instruction count per application, in intervals of the
     /// sequence; the paper uses the suite maximum (4146B instructions).
     pub target_intervals: usize,
-    /// RM software instructions charged per model evaluation / reduction
-    /// iteration (calibrated so an 8-core RM3 invocation costs ≈100K
-    /// instructions, §III-E).
-    pub rm_instr_per_op: f64,
 }
+
+/// RM software instructions charged per model evaluation / reduction
+/// iteration (calibrated so an 8-core RM3 invocation costs ≈100K
+/// instructions, §III-E).
+pub const RM_INSTR_PER_OP: f64 = 25.0;
 
 impl SimConfig {
     /// Configuration used by the paper's headline results: the given RM and
@@ -100,9 +105,7 @@ impl SimConfig {
             model,
             overheads: true,
             alpha: triad_arch::QOS_ALPHA,
-            interval_insts: 100e6,
             target_intervals: max_suite_intervals(),
-            rm_instr_per_op: 25.0,
         }
     }
 
@@ -283,8 +286,6 @@ pub struct Simulator<'a> {
     pub em: Arc<dyn EnergyBackend>,
     /// Run configuration.
     pub cfg: SimConfig,
-    /// Memory latency for the online models (Eq. 2), seconds.
-    pub lmem_s: f64,
 }
 
 impl<'a> Simulator<'a> {
@@ -296,7 +297,6 @@ impl<'a> Simulator<'a> {
             db,
             em: Arc::new(EnergyModel::default_model()),
             cfg,
-            lmem_s: DramParams::table1().base_latency_s,
         }
     }
 
@@ -362,7 +362,7 @@ impl<'a> Simulator<'a> {
                     kind: mk,
                     grid,
                     energy: self.em.as_ref(),
-                    lmem_s: self.lmem_s,
+                    lmem_s: DramParams::table1().base_latency_s,
                 })
             }
             SimModel::Perfect => plan(&PerfectModel { next: rec, grid, energy: self.em.as_ref() }),
@@ -394,7 +394,7 @@ impl<'a> Simulator<'a> {
     /// core when overheads are enabled.
     fn charge_rm_software(&self, c: &mut Core<'a>, ops: u64) {
         if self.cfg.overheads {
-            let rm_insts = ops as f64 * self.cfg.rm_instr_per_op;
+            let rm_insts = ops as f64 * RM_INSTR_PER_OP;
             let tpi = c.tpi(&self.sys);
             let t = rm_insts * tpi;
             c.stall_s += t;
@@ -573,13 +573,12 @@ impl<'a> Simulator<'a> {
         assert_eq!(trace.n_cores, self.sys.n_cores, "trace width must match the system");
 
         let baseline = self.sys.baseline_setting();
-        let interval = self.cfg.interval_insts;
+        let interval = INTERVAL_INSTRUCTIONS as f64;
         let target_insts = self.cfg.target_intervals as f64 * interval;
         let idle_w = self.idle_core_power_w();
 
         let mut cores: Vec<Option<Core<'a>>> = (0..self.sys.n_cores).map(|_| None).collect();
         let mut planner = RunPlanner::new(&self.sys);
-        let mut finish = FinishQueue::new(self.sys.n_cores);
         let mut fold = Folded::default();
         let mut now = 0.0f64;
         let mut completed = 0u64;
@@ -650,17 +649,17 @@ impl<'a> Simulator<'a> {
                 }
             }
 
-            // Next event: the earliest interval completion among occupants
-            // (vacant slots sit at INFINITY and never win).
-            for (i, slot) in cores.iter().enumerate() {
-                match slot {
-                    Some(c) => finish.set(i, c.time_to_finish(&self.sys, interval)),
-                    None => finish.clear(i),
-                }
-            }
+            // Next event: the earliest interval completion among occupants,
+            // ties to the lowest core (`min_by` keeps the first minimum).
+            let (j, dt) = cores
+                .iter()
+                .enumerate()
+                .filter_map(|(i, slot)| {
+                    Some((i, slot.as_ref()?.time_to_finish(&self.sys, interval)))
+                })
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+                .expect("at least one occupied core");
             finish_updates += cores.len() as u64;
-            let (j, dt) = finish.min().expect("at least one occupied core");
-            debug_assert!(cores[j].is_some(), "the winner must be occupied");
 
             for slot in cores.iter_mut() {
                 match slot {
@@ -754,7 +753,7 @@ mod tests {
         let r = sim.run(&["libquantum", "lbm"]);
         let b = sim.sys.baseline_setting();
         let vf = sim.sys.dvfs.point(b.vf);
-        let target = cfg.target_intervals as f64 * cfg.interval_insts;
+        let target = cfg.target_intervals as f64 * INTERVAL_INSTRUCTIONS as f64;
         let expected: f64 = ["libquantum", "lbm"]
             .iter()
             .map(|n| {
@@ -954,7 +953,7 @@ mod tests {
                             kind: mk,
                             grid,
                             energy: em,
-                            lmem_s: sim.lmem_s,
+                            lmem_s: DramParams::table1().base_latency_s,
                         })
                     }
                     SimModel::Perfect => {

@@ -12,8 +12,6 @@
 //!   core-resize drain, RM software execution) and the paper's energy
 //!   bookkeeping (§IV-D1: per-app core+memory energy until the app reaches
 //!   the suite-maximum instruction count, plus uncore energy to the end);
-//! * [`finish`] — the keyed min-index structure (tournament tree) behind
-//!   the engine's earliest-finisher selection;
 //! * [`perfect`] — the ground-truth interval model (database lookups of the
 //!   *next* interval), used for Fig. 2 and the "perfect" bars of Fig. 9;
 //! * the `triad-workload` crate (its core types re-exported here) —
@@ -36,13 +34,12 @@
 pub mod campaign;
 pub mod engine;
 pub mod experiments;
-pub mod finish;
 pub mod journal;
 pub mod perfect;
 pub mod qos_eval;
 
 pub use campaign::{Campaign, CampaignError, CampaignOutcome, CampaignRow, ExperimentSpec};
-pub use engine::{SimConfig, SimModel, SimResult, Simulator};
+pub use engine::{SimConfig, SimModel, SimResult, Simulator, RM_INSTR_PER_OP};
 pub use perfect::PerfectModel;
 pub use qos_eval::{evaluate_model_on_trace, evaluate_models, trace_app_weights, QosEvaluation};
 pub use triad_workload::{

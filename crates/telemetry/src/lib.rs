@@ -55,7 +55,8 @@ use triad_util::json::Json;
 /// Flag bit: record counters, histograms and span aggregates.
 pub const METRICS: u8 = 1;
 /// Flag bit: capture per-span Chrome trace events (heavier: one event
-/// per span entry, timestamped against a process-wide epoch).
+/// per entry of every span not declared [`SpanName::untraced`],
+/// timestamped against a process-wide epoch).
 pub const TRACE: u8 = 1 << 1;
 
 static FLAGS: AtomicU8 = AtomicU8::new(0);
@@ -252,28 +253,40 @@ impl HistAgg {
 
 /// A named span. [`SpanName::enter`] returns a guard that records the
 /// elapsed wall time on drop (into the metrics aggregate) and, when
-/// [`TRACE`] is on, emits one Chrome complete (`"ph":"X"`) event.
+/// [`TRACE`] is on, emits one Chrome complete (`"ph":"X"`) event — unless
+/// the span was declared with [`SpanName::untraced`].
 pub struct SpanName {
     name: &'static str,
     id: AtomicU32,
+    traced: bool,
 }
 
 impl SpanName {
     /// Declare a span name.
     pub const fn new(name: &'static str) -> SpanName {
-        SpanName { name, id: AtomicU32::new(0) }
+        SpanName { name, id: AtomicU32::new(0), traced: true }
+    }
+
+    /// Declare a metrics-only span: it keeps its count and total time but
+    /// never emits a Chrome event. For spans entered so often, and so
+    /// briefly, that per-entry trace events would dominate the trace.
+    pub const fn untraced(name: &'static str) -> SpanName {
+        SpanName { name, id: AtomicU32::new(0), traced: false }
     }
 
     /// Start timing. Costs one load + branch when everything is off.
     #[inline]
     pub fn enter(&self) -> SpanGuard {
-        if FLAGS.load(Ordering::Relaxed) == 0 {
+        let flags = FLAGS.load(Ordering::Relaxed);
+        let flags = if self.traced { flags } else { flags & METRICS };
+        if flags == 0 {
             return SpanGuard { active: None };
         }
         SpanGuard {
             active: Some(ActiveSpan {
                 id: resolve_id(&self.id, |n| &mut n.spans, self.name) as u32,
                 name: self.name,
+                traced: self.traced,
                 start: Instant::now(),
             }),
         }
@@ -283,6 +296,7 @@ impl SpanName {
 struct ActiveSpan {
     id: u32,
     name: &'static str,
+    traced: bool,
     start: Instant,
 }
 
@@ -309,7 +323,7 @@ impl Drop for SpanGuard {
                 s.spans[id].total_ns += dur.as_nanos() as u64;
                 s.ops += 1;
             }
-            if flags & TRACE != 0 {
+            if flags & TRACE != 0 && span.traced {
                 s.events.push(Event {
                     name: span.name,
                     ts_ns: span.start.duration_since(epoch()).as_nanos() as u64,
@@ -673,6 +687,7 @@ mod tests {
     static C2: Counter = Counter::new("test.c2");
     static H1: Histogram = Histogram::new("test.h1");
     static S1: SpanName = SpanName::new("test.s1");
+    static UNTRACED: SpanName = SpanName::untraced("test.untraced");
 
     #[test]
     fn disabled_records_nothing() {
@@ -755,11 +770,14 @@ mod tests {
         enable(METRICS | TRACE);
         for _ in 0..3 {
             let _s = S1.enter();
+            let _u = UNTRACED.enter();
         }
         let doc = take_chrome_trace();
         let snap = snapshot();
         fresh();
         assert_eq!(snap.span("test.s1").unwrap().count, 3);
+        // The untraced span is timed like any other but leaves no event.
+        assert_eq!(snap.span("test.untraced").unwrap().count, 3);
         let text = doc.to_string_pretty();
         let parsed = triad_util::json::parse(&text).expect("chrome trace must parse");
         let Some(Json::Arr(events)) = parsed.get("traceEvents") else {

@@ -250,45 +250,6 @@ impl WorkloadTrace {
             )
     }
 
-    /// Inverse of [`WorkloadTrace::to_json`] (also validates).
-    pub fn from_json(j: &Json) -> Result<WorkloadTrace, String> {
-        match j.get("schema") {
-            Some(Json::Str(s)) if s == TRACE_SCHEMA => {}
-            other => return Err(format!("expected schema {TRACE_SCHEMA:?}, got {other:?}")),
-        }
-        let n_cores = uint_field(j, "n_cores")? as usize;
-        let horizon = match j.get("horizon") {
-            Some(Json::Null) | None => None,
-            _ => Some(uint_field(j, "horizon")?),
-        };
-        let Some(Json::Arr(items)) = j.get("events") else {
-            return Err("trace: missing array field \"events\"".into());
-        };
-        let mut events = Vec::with_capacity(items.len());
-        for item in items {
-            let at = uint_field(item, "at")?;
-            let core = uint_field(item, "core")? as usize;
-            let kind = match item.get("kind") {
-                Some(Json::Str(k)) if k == "arrive" => {
-                    let app = match item.get("app") {
-                        Some(Json::Str(s)) => s.clone(),
-                        _ => return Err("arrive event: missing string field \"app\"".into()),
-                    };
-                    EventKind::Arrive {
-                        app,
-                        phase_offset: uint_field(item, "phase_offset")? as usize,
-                    }
-                }
-                Some(Json::Str(k)) if k == "depart" => EventKind::Depart,
-                other => return Err(format!("event: bad kind {other:?}")),
-            };
-            events.push(TraceEvent { at, core, kind });
-        }
-        let trace = WorkloadTrace { n_cores, horizon, events };
-        trace.validate()?;
-        Ok(trace)
-    }
-
     /// Content fingerprint of the canonical JSON bytes — the identity
     /// campaign rows record so archived results stay attributable to the
     /// exact workload program that produced them.
@@ -296,16 +257,6 @@ impl WorkloadTrace {
         let mut f = Fingerprint::new(TRACE_SCHEMA);
         f.str(&self.to_json().to_string_compact());
         f.hex()
-    }
-}
-
-/// Read a nonnegative integer field from either of the canonical writer's
-/// number encodings.
-fn uint_field(j: &Json, key: &str) -> Result<u64, String> {
-    match j.get(key) {
-        Some(Json::Int(i)) if *i >= 0 => Ok(*i as u64),
-        Some(Json::Num(x)) if *x >= 0.0 && x.fract() == 0.0 => Ok(*x as u64),
-        other => Err(format!("trace: field {key:?} must be a nonnegative integer, got {other:?}")),
     }
 }
 
@@ -352,15 +303,6 @@ mod tests {
         assert!(t.validate().is_ok());
         assert_eq!(t.static_names(), None);
         assert_eq!(t.n_arrivals(), 3);
-    }
-
-    #[test]
-    fn json_round_trip_is_lossless() {
-        for t in [WorkloadTrace::steady(&["mcf", "gcc"]), churny()] {
-            let s = t.to_json().to_string_pretty();
-            let parsed = triad_util::json::parse(&s).unwrap();
-            assert_eq!(WorkloadTrace::from_json(&parsed).unwrap(), t);
-        }
     }
 
     #[test]

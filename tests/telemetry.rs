@@ -105,9 +105,22 @@ fn telemetry_is_a_pure_sidecar() {
     for e in events {
         assert_eq!(e.get("ph"), Some(&Json::Str("X".into())), "only complete events: {e:?}");
         assert!(e.get("ts").is_some() && e.get("dur").is_some() && e.get("name").is_some());
+        // The per-invocation RM spans are metrics-only.
+        let name = e.get("name");
+        for untraced in ["rm.replan", "rm.local_plan"] {
+            assert_ne!(name, Some(&Json::Str(untraced.into())), "{untraced} emitted a trace event");
+        }
     }
+    // ... yet they are still timed and counted in the metrics aggregate.
+    let snap = tel::snapshot();
+    assert_eq!(
+        snap.span("rm.replan").map_or(0, |s| s.count),
+        snap.counter("sim.rm_invocations"),
+        "a traced run still counts every re-plan"
+    );
+    assert!(snap.span("rm.local_plan").is_some(), "rm.local_plan span never entered");
     // The metrics report parses and carries the schema tag.
-    let report = triad_util::json::parse(&tel::snapshot().to_json().to_string_pretty()).unwrap();
+    let report = triad_util::json::parse(&snap.to_json().to_string_pretty()).unwrap();
     assert_eq!(report.get("schema"), Some(&Json::Str("triad-telemetry/v1".into())));
 
     tel::disable_all();
